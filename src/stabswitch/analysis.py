@@ -94,11 +94,9 @@ def detectable(code: StabilizerCode, e: PauliOp) -> bool:
 def _first_logical(code: StabilizerCode, errs: np.ndarray) -> np.ndarray | None:
     """First row of errs with zero syndrome that is outside the group."""
     g = code.generator_matrix
-    syn = (gf2.swap_xz(g).astype(np.int64) @ errs.T.astype(np.int64) % 2) if g.shape[0] else np.zeros((0, len(errs)))
-    quiet = np.nonzero(~syn.any(axis=0))[0] if g.shape[0] else np.arange(len(errs))
-    for idx in quiet:
-        if not gf2.in_rowspace(g, errs[idx]):
-            return errs[idx]
+    for v in gf2.commuting_rows(g, errs):
+        if not gf2.in_rowspace(g, v):
+            return v
     return None
 
 
@@ -137,9 +135,9 @@ def verify_path(path, d: int) -> PathReport:
     with a minimum-weight logical witness.
     """
     reports: list[DistanceReport] = []
-    errs = error_vectors(path.n, d - 1) if d > 1 else gf2.zeros((0, 2 * path.n))
+    errs = error_vectors(path.n, d - 1)
     for idx, code in enumerate(path.intermediates):
-        hit = _first_logical(code, errs) if len(errs) else None
+        hit = _first_logical(code, errs)
         if hit is not None:
             w = int((hit[: path.n] | hit[path.n :]).sum())
             witness = PauliOp.from_vector(hit)
@@ -202,14 +200,7 @@ def step_subsystem_distance(pre_code: StabilizerCode, step) -> int | None:
     rest_mat = np.array(rest, dtype=np.uint8).reshape(len(rest), 2 * pre_code.n)
     gauge = np.vstack([rest_mat, outgoing.vector.reshape(1, -1), step.measure.vector.reshape(1, -1)])
     for w in range(1, pre_code.n + 1):
-        errs = _errors_at_weight(pre_code.n, w)
-        if rest_mat.shape[0]:
-            syn = gf2.swap_xz(rest_mat).astype(np.int64) @ errs.T.astype(np.int64) % 2
-            quiet = np.nonzero(~syn.any(axis=0))[0]
-        else:
-            quiet = np.arange(len(errs))
-        for i in quiet:
-            v = errs[i]
+        for v in gf2.commuting_rows(rest_mat, _errors_at_weight(pre_code.n, w)):
             try:
                 coeff, _ = gf2.solve_affine(gauge.T, v)
             except gf2.InconsistentSystemError:

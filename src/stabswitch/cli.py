@@ -9,6 +9,8 @@ error, 65 malformed path file, 74 I/O error.
 
 Every command is deterministic given --seed; machine-readable JSON goes
 only to files named by --out style flags, stdout stays human-readable.
+simulate and reproduce share one trial loop, tableau.simulate_trials;
+reproduce runs it with the fixed seed 2024.
 The environment variable RSRA_THREADS caps worker parallelism; the
 current implementation is single-threaded, so it only validates.
 """
@@ -177,32 +179,12 @@ def _forced_schedule(spec: str | None, steps: int):
 def cmd_simulate(args) -> int:
     path = _load_path(args.path)
     forced = _forced_schedule(args.force_outcomes, len(path.steps))
-    frame = tableau.logical_frame(path.source)
-    carried = tableau.transport_logicals(frame, path)
     failures = 0
     total = 0
-    for state_idx, spec in enumerate(("+Z", "+X")):
-        for trial in range(args.trials):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=args.seed, spawn_key=(state_idx, trial))
-            )
-            t = tableau.encode(path.source, frame, spec)
-            ok = True
-            detail = ""
-            try:
-                tableau.run_path(t, path, rng, forced=forced)
-            except tableau.StabilizationFailureError as exc:
-                ok = False
-                detail = str(exc)
-            if ok:
-                outs = carried.logical_x if spec == "+X" else carried.logical_z
-                for op in outs:
-                    if not t.contains(op):
-                        ok = False
-                        detail = f"logical eigenvalue lost for {op}"
-            total += 1
-            failures += 0 if ok else 1
-            print(f"  state {spec} trial {trial}: {'pass' if ok else 'FAIL ' + detail}")
+    for spec, trial, failure in tableau.simulate_trials(path, args.trials, args.seed, forced):
+        total += 1
+        failures += failure is not None
+        print(f"  state {spec} trial {trial}: {'pass' if failure is None else 'FAIL ' + failure}")
     print(f"{total - failures}/{total} trials preserved the logical information")
     return EXIT_OK if failures == 0 else 1
 
@@ -277,24 +259,9 @@ def cmd_reproduce(args) -> int:
     if "m" in expected and path.m != expected["m"]:
         ok = False
         print(f"  FAIL: expected m = {expected['m']}")
-    frame = tableau.logical_frame(path.source)
-    carried = tableau.transport_logicals(frame, path)
     trials = 20
-    sim_fail = 0
-    for state_idx, spec in enumerate(("+Z", "+X")):
-        for trial in range(trials // 2):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=2024, spawn_key=(state_idx, trial))
-            )
-            t = tableau.encode(path.source, frame, spec)
-            try:
-                tableau.run_path(t, path, rng)
-            except tableau.StabilizationFailureError:
-                sim_fail += 1
-                continue
-            outs = carried.logical_x if spec == "+X" else carried.logical_z
-            if not all(t.contains(op) for op in outs):
-                sim_fail += 1
+    runs = tableau.simulate_trials(path, trials // 2, 2024)
+    sim_fail = sum(failure is not None for *_, failure in runs)
     print(f"  simulation: {trials - sim_fail}/{trials} trials preserved the logical state")
     if sim_fail:
         ok = False

@@ -73,14 +73,18 @@ def symplectic_products(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     cols = np.atleast_2d(asbits(cols))
     if rows.shape[1] != cols.shape[1]:
         raise ValueError("column counts differ")
-    if rows.shape[0] == 0 or cols.shape[0] == 0:
-        return zeros((rows.shape[0], cols.shape[0]))
     return (swap_xz(rows).astype(np.int64) @ cols.T.astype(np.int64) % 2).astype(np.uint8)
+
+
+def commuting_rows(ops: np.ndarray, errs: np.ndarray) -> np.ndarray:
+    """The rows of errs that commute with every row of ops, in order."""
+    errs = np.atleast_2d(errs)
+    return errs[~symplectic_products(ops, errs).any(axis=0)]
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form and pivot column list."""
-    m = asbits(np.atleast_2d(m)).copy()
+    m = asbits(np.atleast_2d(m))
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -104,9 +108,6 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def rank(m: np.ndarray) -> int:
     """GF(2) row rank."""
-    m = np.atleast_2d(asbits(m))
-    if m.size == 0:
-        return 0
     return len(rref(m)[1])
 
 
@@ -116,12 +117,20 @@ def invert(m: np.ndarray) -> np.ndarray:
     d = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is {m.shape}, not square")
-    if d == 0:
-        return zeros((0, 0))
     aug, pivots = rref(np.hstack([m, identity(d)]))
     if pivots != list(range(d)):
         raise SingularMatrixError(f"rank {rank(m)} < dimension {d}")
     return aug[:, d:].copy()
+
+
+def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
+    """Kernel basis read off a reduced row-echelon form of the first `cols`
+    columns, one row per free column in ascending order."""
+    free = [c for c in range(cols) if c not in pivots]
+    basis = zeros((len(free), cols))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = r[: len(pivots)][:, free].T
+    return basis
 
 
 def kernel(m: np.ndarray) -> np.ndarray:
@@ -130,16 +139,8 @@ def kernel(m: np.ndarray) -> np.ndarray:
     Free variables are indexed in ascending column order, making the
     basis deterministic.
     """
-    m = np.atleast_2d(asbits(m))
-    rows, cols = m.shape
     r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros((len(free), cols))
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, p in enumerate(pivots):
-            basis[i, p] = r[j, f]
-    return basis
+    return _kernel_from_rref(r, pivots, r.shape[1])
 
 
 def solve_affine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +150,9 @@ def solve_affine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variables zero (least under the elimination pivot ordering) and K is
     a kernel basis (rows), so the full solution set is x0 + span(K).
     Raises InconsistentSystemError if no solution exists.
+
+    K equals kernel(a) bit for bit: pivots are picked column by column
+    from the left, so the left block of rref([a | b]) is rref(a).
     """
     a = np.atleast_2d(asbits(a))
     b = asbits(b).reshape(-1)
@@ -159,18 +163,14 @@ def solve_affine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if cols in pivots:
         raise InconsistentSystemError("no solution: rhs outside column space")
     x0 = zeros(cols)
-    for i, p in enumerate(pivots):
-        x0[p] = aug[i, cols]
-    return x0, kernel(a)
+    x0[pivots] = aug[: len(pivots), cols]
+    return x0, _kernel_from_rref(aug, pivots, cols)
 
 
 def in_rowspace(m: np.ndarray, v: np.ndarray) -> bool:
     """True iff v lies in the row space of m."""
     m = np.atleast_2d(asbits(m))
-    v = asbits(v)
-    if m.shape[0] == 0:
-        return not v.any()
-    return rank(np.vstack([m, v])) == rank(m)
+    return rank(np.vstack([m, asbits(v)])) == rank(m)
 
 
 def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:

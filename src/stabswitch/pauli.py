@@ -287,8 +287,6 @@ def group_coefficients(code: StabilizerCode, v: np.ndarray) -> np.ndarray | None
     v = gf2.asbits(v)
     if not v.any():
         return gf2.zeros(g.shape[0])
-    if g.shape[0] == 0:
-        return None
     try:
         x0, _ = gf2.solve_affine(g.T, v)
     except gf2.InconsistentSystemError:
@@ -316,12 +314,7 @@ def in_group(code: StabilizerCode, e: PauliOp) -> Membership:
 
 def normalizer_basis(code: StabilizerCode) -> list[PauliOp]:
     """Basis of N(S) as an F2 subspace: kernel of the syndrome map, dim n + k."""
-    g = code.generator_matrix
-    if g.shape[0] == 0:
-        basis = gf2.identity(2 * code.n)
-    else:
-        basis = gf2.kernel(gf2.swap_xz(g))
-    return [PauliOp.from_vector(v) for v in basis]
+    return [PauliOp.from_vector(v) for v in gf2.kernel(gf2.swap_xz(code.generator_matrix))]
 
 
 def parse_code(text: str) -> StabilizerCode:
@@ -383,16 +376,12 @@ def random_stabilizer_code(
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     rows: list[np.ndarray] = []
     while len(rows) < n - k:
-        if rows:
-            space = gf2.kernel(gf2.swap_xz(np.array(rows, dtype=np.uint8)))
-        else:
-            space = gf2.identity(2 * n)
+        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+        space = gf2.kernel(gf2.swap_xz(mat))
         for _ in range(10_000):
             coeff = rng.integers(0, 2, size=space.shape[0], dtype=np.uint8)
             v = (coeff @ space) % 2
-            if not v.any():
-                continue
-            if rows and gf2.in_rowspace(np.array(rows, dtype=np.uint8), v):
+            if not v.any() or gf2.in_rowspace(mat, v):
                 continue
             rows.append(v.astype(np.uint8))
             break

@@ -50,7 +50,9 @@ class SignMismatchError(ValueError):
 
 
 class AdjacencyViolationError(AssertionError):
-    """An emitted step failed the adjacency invariant (internal bug)."""
+    """An emitted step failed the adjacency invariant, or a decomposition
+    block broke the pairing or group membership it relies on (internal
+    bug)."""
 
 
 class FixtureInvalidError(ValueError):
@@ -237,9 +239,12 @@ def ancilla_qubits_for(code_a: StabilizerCode, code_b: StabilizerCode, m: int) -
     """Qubits of the padded pair that are not data qubits of the original
     target code: the m appended ancillas, plus the equalization block
     when the target is the smaller code."""
-    n = max(code_a.n, code_b.n)
-    extra = list(range(code_b.n, n)) if code_b.n < code_a.n else []
-    return tuple(extra + list(range(n, n + m)))
+    return _ancilla_qubits(code_a.n, code_b.n, m)
+
+
+def _ancilla_qubits(n_a: int, n_b: int, m: int) -> tuple[int, ...]:
+    n = max(n_a, n_b)
+    return tuple(range(n_b, n_a)) + tuple(range(n, n + m))
 
 
 def subspace_bases(
@@ -256,8 +261,7 @@ def subspace_bases(
     count = ga.shape[0]
 
     def norm_cap(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        k = gf2.kernel(gf2.symplectic_products(other, own))
-        return (k @ own) % 2 if k.shape[0] else gf2.zeros((0, own.shape[1]))
+        return gf2.kernel(gf2.symplectic_products(other, own)) @ own % 2
 
     gb = gf2.extend_basis(ga, norm_cap(g, gp))
     gbp = gf2.extend_basis(ga, norm_cap(gp, g))
@@ -265,11 +269,11 @@ def subspace_bases(
     gcp = gf2.extend_basis(np.vstack([ga, gbp]), gp)
     if normalize:
         h = gf2.symplectic_products(gcp, gc)
-        assert gf2.rank(h) == h.shape[0], "commutativity matrix singular (internal bug)"
+        if gf2.rank(h) != h.shape[0]:
+            raise AdjacencyViolationError("commutativity matrix singular")
         gcp = (gf2.invert(h) @ gcp) % 2
-        assert np.array_equal(
-            gf2.symplectic_products(gcp, gc), gf2.identity(gc.shape[0])
-        )
+        if not np.array_equal(gf2.symplectic_products(gcp, gc), gf2.identity(gc.shape[0])):
+            raise AdjacencyViolationError("normalized direct blocks do not pair to the identity")
     return ga, gb, gc, gbp, gcp
 
 
@@ -277,7 +281,8 @@ def _signed_rows(code: StabilizerCode, rows: np.ndarray) -> tuple[PauliOp, ...]:
     out = []
     for v in rows:
         elem = pauli.group_element(code, v)
-        assert elem is not None, "decomposition row escaped its group (internal bug)"
+        if elem is None:
+            raise AdjacencyViolationError("decomposition row escaped its group")
         out.append(elem)
     return tuple(out)
 
@@ -296,7 +301,8 @@ def decompose(
     shared = _signed_rows(source, ga)
     for op, v in zip(shared, ga):
         other = pauli.group_element(target, v)
-        assert other is not None
+        if other is None:
+            raise AdjacencyViolationError(f"shared row {op} is outside the target group")
         if other.sign != op.sign:
             raise SignMismatchError(
                 f"shared stabilizer {op} has sign {other.sign:+d} in the target group"
@@ -341,7 +347,7 @@ def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
     v = gf2.random_matrix(c, b, rng)
     vp = gf2.random_matrix(c, b, rng)
     u = gf2.random_gl(c, rng)
-    uit = gf2.invert(u).T if c else u
+    uit = gf2.invert(u).T
     new_src = _mix((u @ v) % 2, u, dec.bridged_src, dec.direct_src, dec.padded_n)
     new_tgt = _mix((uit @ vp) % 2, uit, dec.bridged_tgt, dec.direct_tgt, dec.padded_n)
     if c:
@@ -349,12 +355,14 @@ def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
             np.array([p.vector for p in new_tgt], dtype=np.uint8),
             np.array([p.vector for p in new_src], dtype=np.uint8),
         )
-        assert np.array_equal(got, gf2.identity(c)), "randomization broke pairing"
+        if not np.array_equal(got, gf2.identity(c)):
+            raise AdjacencyViolationError("randomization broke the direct pairing")
     return replace(dec, direct_src=new_src, direct_tgt=new_tgt, bridges=None)
 
 
 def _bridge_system(dec: Decomposition, i: int, solved: Sequence[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint system for bridge i: commute with the shared and direct
+    """Constraint system for bridge i, as rows and the symplectic products
+    the bridge must have with them: commute with the shared and direct
     blocks on both sides, with later bridged pairs, and with earlier
     bridges; anticommute with both ends of pair i."""
     rows = [op.vector for op in dec.shared]
@@ -367,7 +375,7 @@ def _bridge_system(dec: Decomposition, i: int, solved: Sequence[PauliOp]) -> tup
     rows += [dec.bridged_src[i].vector, dec.bridged_tgt[i].vector]
     rhs += [1, 1]
     mat = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * dec.padded_n)
-    return gf2.swap_xz(mat), np.array(rhs, dtype=np.uint8)
+    return mat, np.array(rhs, dtype=np.uint8)
 
 
 def solve_bridges(
@@ -384,8 +392,8 @@ def solve_bridges(
     """
     solved: list[PauliOp] = []
     for i in range(len(dec.bridged_src)):
-        a_mat, rhs = _bridge_system(dec, i, solved)
-        x0, ker = gf2.solve_affine(a_mat, rhs)
+        rows, rhs = _bridge_system(dec, i, solved)
+        x0, ker = gf2.solve_affine(gf2.swap_xz(rows), rhs)
         best = x0
         if weight_samples > 0:
             if rng is None:
@@ -470,36 +478,6 @@ def build_path(dec: Decomposition) -> ConversionPath:
         intermediates=tuple(intermediates),
         ancilla_qubits=dec.ancilla_qubits,
         m=dec.m,
-    )
-
-
-def swap_decomposition(dec: Decomposition) -> Decomposition:
-    """The same prepared blocks viewed from the target side.
-
-    Building the swapped decomposition walks the identical set of
-    intermediate groups in the opposite direction (the direct blocks are
-    reversed to keep the pairing matrix the identity).  Ancilla metadata
-    is dropped: the swap exists to exercise the symmetry property, not to
-    drive a simulation.
-    """
-    order = None
-    if dec.step_order is not None:
-        c = len(dec.direct_src)
-        flip = {"bridge_in": "bridge_out", "bridge_out": "bridge_in", "direct": "direct"}
-        order = tuple(
-            (flip[kind], c - 1 - i if kind == "direct" else i)
-            for kind, i in reversed(dec.step_order)
-        )
-    return replace(
-        dec,
-        source=dec.target,
-        target=dec.source,
-        ancilla_qubits=(),
-        bridged_src=dec.bridged_tgt,
-        bridged_tgt=dec.bridged_src,
-        direct_src=tuple(reversed(dec.direct_tgt)),
-        direct_tgt=tuple(reversed(dec.direct_src)),
-        step_order=order,
     )
 
 
@@ -608,9 +586,8 @@ def _validate_fixture(dec: Decomposition) -> None:
     if len(bridges) != len(dec.bridged_src):
         raise FixtureInvalidError("fixture needs exactly one bridge per bridged pair")
     for i, br in enumerate(bridges):
-        a_mat, rhs = _bridge_system(replace(dec, bridges=None), i, bridges[:i])
-        got = (a_mat.astype(np.int64) @ br.vector.astype(np.int64) % 2).astype(np.uint8)
-        if not np.array_equal(got, rhs):
+        rows, rhs = _bridge_system(replace(dec, bridges=None), i, bridges[:i])
+        if not np.array_equal(gf2.symplectic_products(rows, br.vector)[:, 0], rhs):
             raise FixtureInvalidError(f"bridge {br} violates its constraint system")
 
 
@@ -685,7 +662,7 @@ def load_fixture_decomposition(text: str) -> Decomposition:
         source=source,
         target=target,
         m=m,
-        ancilla_qubits=_fixture_ancillas(sizes, m, n),
+        ancilla_qubits=_ancilla_qubits(*sizes, m),
         shared=shared,
         bridged_src=bridged_src,
         bridged_tgt=bridged_tgt,
@@ -696,9 +673,3 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     )
     _validate_fixture(dec)
     return dec
-
-
-def _fixture_ancillas(sizes: tuple[int, int], m: int, n: int) -> tuple[int, ...]:
-    n1, n2 = sizes
-    extra = list(range(n2, n1)) if n2 < n1 else []
-    return tuple(extra + list(range(max(n1, n2), n)))

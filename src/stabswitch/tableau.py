@@ -11,13 +11,15 @@ then apply the outgoing generator if the observed eigenvalue differs
 from the incoming generator's declared sign.  run_path folds this over a
 ConversionPath and checks that the final frame is stabilized by the
 target code with its printed signs and that ancilla qubits end
-disentangled.
+disentangled.  simulate_trials is the seeded trial loop behind the
+CLI's simulate and reproduce commands: encode a logical eigenstate, run
+the path, and check that the transported logicals still stabilize it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +32,8 @@ class InconsistentSpecError(ValueError):
 
 
 class StabilizationFailureError(AssertionError):
-    """A path run did not end stabilized by the target code (internal bug)."""
+    """A path run did not end stabilized by the target code, or the frame
+    broke a stabilizer-formalism invariant (internal bug)."""
 
 
 class TransportFailureError(AssertionError):
@@ -78,15 +81,6 @@ class Tableau:
             r[n + i] = 0 if p.sign > 0 else 1
         return cls(n, x, z, r)
 
-    def copy(self) -> "Tableau":
-        return Tableau(self.n, self.x.copy(), self.z.copy(), self.r.copy())
-
-    def row(self, i: int) -> PauliOp:
-        return PauliOp(self.x[i].copy(), self.z[i].copy(), -1 if self.r[i] else +1)
-
-    def stabilizer_rows(self) -> list[PauliOp]:
-        return [self.row(self.n + i) for i in range(self.n)]
-
     def _anticommute_mask(self, p: PauliOp) -> np.ndarray:
         """Boolean mask over all 2n rows of anticommutation with p."""
         return ((self.x @ p.z + self.z @ p.x) % 2).astype(bool)
@@ -95,7 +89,8 @@ class Tableau:
         """row i <- row j * row i, with exact phase tracking."""
         ph = pauli.phase_exponent(self.x[j], self.z[j], self.x[i], self.z[i])
         ph = (ph + 2 * int(self.r[i]) + 2 * int(self.r[j])) % 4
-        assert ph % 2 == 0, "rowsum between anticommuting rows"
+        if ph % 2:
+            raise StabilizationFailureError(f"rowsum between anticommuting rows {i} and {j}")
         self.x[i] ^= self.x[j]
         self.z[i] ^= self.z[j]
         self.r[i] = ph // 2
@@ -113,7 +108,8 @@ class Tableau:
             acc_z ^= self.z[self.n + i]
         if not (np.array_equal(acc_x, p.x) and np.array_equal(acc_z, p.z)):
             raise ValueError(f"{p} is not in the stabilizer group (up to sign)")
-        assert ph % 2 == 0
+        if ph % 2:
+            raise StabilizationFailureError(f"stabilizer product for {p} has an imaginary phase")
         return +1 if ph == 0 else -1
 
     def measure(
@@ -148,7 +144,7 @@ class Tableau:
             outcome = +1 if int(rng.integers(0, 2)) == 0 else -1
         for i in np.nonzero(anti)[0]:
             # the pivot's destabilizer partner is overwritten below, so its
-            # (meaningless) phase must not trip the hermiticity assertion
+            # (meaningless) phase must not trip the hermiticity check
             if i != piv and i != piv - self.n:
                 self._rowmul(int(i), piv)
         self.x[piv - self.n] = self.x[piv]
@@ -212,7 +208,7 @@ def logical_frame(code: StabilizerCode) -> LogicalFrame:
     """Canonical logical frame from the normalizer kernel, by symplectic
     Gram-Schmidt over the quotient modulo the stabilizer group."""
     g = code.generator_matrix
-    cands = [v for v in (gf2.kernel(gf2.swap_xz(g)) if g.shape[0] else gf2.identity(2 * code.n))]
+    cands = list(gf2.kernel(gf2.swap_xz(g)))
     span = [row for row in g]
     xs: list[np.ndarray] = []
     zs: list[np.ndarray] = []
@@ -336,6 +332,38 @@ def run_path(
     return t
 
 
+def simulate_trials(
+    path,
+    trials: int,
+    seed: int,
+    forced: Sequence[int | None] | None = None,
+) -> Iterator[tuple[str, int, str | None]]:
+    """Run `trials` fresh encodings of +Z and then of +X through a path.
+
+    Trial t of state s (0 for +Z, 1 for +X) draws its outcomes from
+    default_rng(SeedSequence(entropy=seed, spawn_key=(s, t))); `forced`
+    is passed on to run_path.  A trial passes when run_path succeeds and
+    every transported logical of the encoded axis still stabilizes the
+    final state.  Yields (state, trial, failure) in run order, with
+    failure None on a pass and a one-line reason otherwise.
+    """
+    frame = logical_frame(path.source)
+    carried = transport_logicals(frame, path)
+    for state_idx, spec in enumerate(("+Z", "+X")):
+        outs = carried.logical_x if spec == "+X" else carried.logical_z
+        for trial in range(trials):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(state_idx, trial))
+            rng = np.random.default_rng(seq)
+            t = encode(path.source, frame, spec)
+            try:
+                run_path(t, path, rng, forced=forced)
+            except StabilizationFailureError as exc:
+                yield spec, trial, str(exc)
+                continue
+            lost = [op for op in outs if not t.contains(op)]
+            yield spec, trial, f"logical eigenvalue lost for {lost[-1]}" if lost else None
+
+
 def _ancilla_stabilizer(code: StabilizerCode, q: int) -> PauliOp:
     """The signed single-qubit stabilizer the code holds on qubit q.
 
@@ -343,11 +371,10 @@ def _ancilla_stabilizer(code: StabilizerCode, q: int) -> PauliOp:
     whatever the signed group dictates, so an ancilla pinned to |1> or
     |-> still counts as disentangled.
     """
-    for letter in ("Z", "X"):
-        x = gf2.zeros(code.n)
-        z = gf2.zeros(code.n)
-        (x if letter == "X" else z)[q] = 1
-        elem = pauli.group_element(code, np.concatenate([x, z]))
+    for bit in (code.n + q, q):  # Z on q, then X on q
+        v = gf2.zeros(2 * code.n)
+        v[bit] = 1
+        elem = pauli.group_element(code, v)
         if elem is not None:
             return elem
     raise ValueError(f"code has no single-qubit stabilizer on qubit {q}")

@@ -124,6 +124,59 @@ class TestSimulate:
         ) == cli.EXIT_USAGE
 
 
+SIMULATE_3_TRIALS = (
+    "  state +Z trial 0: pass\n"
+    "  state +Z trial 1: pass\n"
+    "  state +Z trial 2: pass\n"
+    "  state +X trial 0: pass\n"
+    "  state +X trial 1: pass\n"
+    "  state +X trial 2: pass\n"
+    "6/6 trials preserved the logical information\n"
+)
+
+
+class TestSimulateOutput:
+    """Full stdout of simulate, byte for byte."""
+
+    def test_seeded_trials(self, written_path, capsys):
+        assert run("simulate", str(written_path), "--trials", "3", "--seed", "9") == cli.EXIT_OK
+        assert capsys.readouterr().out == SIMULATE_3_TRIALS
+
+    def test_forced_all_minus(self, written_path, capsys):
+        assert run(
+            "simulate", str(written_path), "--trials", "3", "--seed", "9",
+            "--force-outcomes", "all-minus",
+        ) == cli.EXIT_OK
+        assert capsys.readouterr().out == SIMULATE_3_TRIALS
+
+
+def reproduce_output(name, steps, n, m, codes, gates):
+    lines = [f"{name}: {steps} steps on {n} qubits, m = {m}"]
+    lines += [f"  code {i}: distance = 3" for i in range(codes)]
+    lines += [
+        f"  multi-qubit gates: {gates}",
+        "  simulation: 20/20 trials preserved the logical state",
+        f"{name}: all checks pass",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestReproduceOutput:
+    """Full stdout of reproduce for every bundled table, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, steps, n, m, codes, gates",
+        [
+            ("table1", 5, 7, 0, 6, 17),
+            ("table2", 7, 9, 0, 8, 32),
+            ("table3", 4, 9, 2, 5, 19),
+        ],
+    )
+    def test_table(self, capsys, name, steps, n, m, codes, gates):
+        assert run("reproduce", name) == cli.EXIT_OK
+        assert capsys.readouterr().out == reproduce_output(name, steps, n, m, codes, gates)
+
+
 class TestBounds:
     def test_lemma1_three(self, capsys):
         assert run("bounds", "--lemma1", "3") == cli.EXIT_OK

@@ -106,6 +106,63 @@ class TestSolveAffine:
                 assert not ((a @ row) % 2).any()
             assert ker.shape[0] == 7 - gf2.rank(a)
 
+    def test_kernel_equals_kernel_of_a_bit_for_bit(self):
+        """solve_bridges draws coset elements from K, so seeded runs stay
+        reproducible only while K is exactly kernel(a)."""
+        rng = np.random.default_rng(20)
+        shapes = {"wide": 0, "tall": 0, "deficient": 0}
+        inconsistent = 0
+        for trial in range(1200):
+            kind = ("wide", "tall", "deficient")[trial % 3]
+            if kind == "wide":
+                rows, cols = int(rng.integers(1, 6)), int(rng.integers(6, 12))
+                a = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            elif kind == "tall":
+                rows, cols = int(rng.integers(6, 12)), int(rng.integers(1, 6))
+                a = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            else:
+                rows, cols = int(rng.integers(3, 10)), int(rng.integers(3, 10))
+                inner = int(rng.integers(1, min(rows, cols)))
+                left = rng.integers(0, 2, size=(rows, inner), dtype=np.uint8)
+                right = rng.integers(0, 2, size=(inner, cols), dtype=np.uint8)
+                a = (left @ right % 2).astype(np.uint8)
+                assert gf2.rank(a) < min(rows, cols)
+            shapes[kind] += 1
+            if trial % 2:
+                b = (a @ rng.integers(0, 2, size=cols, dtype=np.uint8) % 2).astype(np.uint8)
+            else:
+                b = rng.integers(0, 2, size=rows, dtype=np.uint8)
+            solvable = gf2.rank(np.hstack([a, b.reshape(-1, 1)])) == gf2.rank(a)
+            if not solvable:
+                inconsistent += 1
+                with pytest.raises(gf2.InconsistentSystemError):
+                    gf2.solve_affine(a, b)
+                continue
+            x0, ker = gf2.solve_affine(a, b)
+            want = gf2.kernel(a)
+            assert ker.dtype == want.dtype and ker.shape == want.shape
+            assert np.array_equal(ker, want)
+            assert np.array_equal(a @ x0 % 2, b)
+            free = [c for c in range(cols) if c not in gf2.rref(a)[1]]
+            assert not x0[free].any()
+        assert min(shapes.values()) == 400
+        assert 100 < inconsistent < 1100
+
+
+class TestCommutingRows:
+    def test_matches_per_row_products(self):
+        rng = np.random.default_rng(21)
+        for rows in (0, 1, 3, 6):
+            ops = rng.integers(0, 2, size=(rows, 8), dtype=np.uint8)
+            errs = rng.integers(0, 2, size=(40, 8), dtype=np.uint8)
+            want = [e for e in errs if all(gf2.symplectic_product(g, e) == 0 for g in ops)]
+            got = gf2.commuting_rows(ops, errs)
+            assert got.shape == (len(want), 8)
+            assert np.array_equal(got, np.array(want, dtype=np.uint8).reshape(-1, 8))
+
+    def test_empty_error_list(self):
+        assert gf2.commuting_rows(gf2.identity(4), gf2.zeros((0, 4))).shape == (0, 4)
+
 
 class TestExtendBasis:
     def test_from_empty(self):

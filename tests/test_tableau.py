@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stabswitch
 from stabswitch import analysis, pauli, rewiring, tableau
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -170,6 +175,67 @@ class TestRunPath:
         tableau.run_path(t, path, forced=[-1] * len(path.steps), record=rec)
         assert len(rec) == len(path.steps)
         assert all(r["outcome"] == -1 for r in rec)
+
+
+class TestSimulateTrials:
+    def test_runs_both_states_in_order_and_passes(self, table_paths):
+        runs = list(tableau.simulate_trials(table_paths["table1"], 3, 9))
+        assert [(spec, trial) for spec, trial, _ in runs] == [
+            (spec, trial) for spec in ("+Z", "+X") for trial in range(3)
+        ]
+        assert all(failure is None for *_, failure in runs)
+
+    @pytest.mark.parametrize("forced", [None, "all-minus"])
+    def test_seeds_each_trial_from_state_and_trial_index(self, table_paths, monkeypatch, forced):
+        path = table_paths["table1"]
+        forced = None if forced is None else [-1] * len(path.steps)
+        seen = []
+        real = tableau.run_path
+
+        def spy(t, path, rng, forced=None):
+            seen.append((rng.bit_generator.state, forced))
+            return real(t, path, rng, forced=forced)
+
+        monkeypatch.setattr(tableau, "run_path", spy)
+        runs = list(tableau.simulate_trials(path, 2, 2024, forced))
+        assert all(failure is None for *_, failure in runs)
+        want = [
+            np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(s, t))).bit_generator.state
+            for s in range(2)
+            for t in range(2)
+        ]
+        assert seen == [(state, forced) for state in want]
+
+    def test_stabilization_failure_is_reported(self, table_paths, monkeypatch):
+        def broken(t, path, rng, forced=None):
+            raise tableau.StabilizationFailureError("final state not stabilized by target code")
+
+        monkeypatch.setattr(tableau, "run_path", broken)
+        runs = list(tableau.simulate_trials(table_paths["table1"], 1, 0))
+        assert [failure for *_, failure in runs] == ["final state not stabilized by target code"] * 2
+
+
+class TestInvariantsUnderOptimize:
+    def test_rowmul_of_anticommuting_rows_raises_under_python_O(self):
+        """Frame invariants are real exceptions, so `python -O` keeps them."""
+        script = (
+            "import sys\n"
+            "from stabswitch import tableau\n"
+            "from stabswitch.pauli import PauliOp\n"
+            "assert False, 'asserts are live'\n"
+            "t = tableau.Tableau.from_stabilizers([PauliOp.from_string('Z')])\n"
+            "try:\n"
+            "    t._rowmul(0, 1)\n"
+            "except tableau.StabilizationFailureError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(stabswitch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: rowsum between anticommuting rows")
 
 
 class TestTransport:
