@@ -33,7 +33,7 @@ class NotIndependentError(ValueError):
 
 def asbits(a) -> np.ndarray:
     """Coerce to a uint8 array reduced mod 2."""
-    return (np.asarray(a, dtype=np.uint8) & 1).astype(np.uint8)
+    return np.asarray(a, dtype=np.uint8) & 1
 
 
 def zeros(shape) -> np.ndarray:

@@ -165,7 +165,7 @@ class PauliOp:
         return hash((self.sign, self.x.tobytes(), self.z.tobytes()))
 
     def to_string(self) -> str:
-        body = "".join(self.letter(q) for q in range(self.n))
+        body = "".join(map("IXZY".__getitem__, (self.x + 2 * self.z).tolist()))
         return ("-" if self.sign < 0 else "") + body
 
     def __str__(self) -> str:
@@ -256,11 +256,18 @@ class StabilizerCode:
         """True iff both codes generate the same signed stabilizer group."""
         if self.n != other.n or len(self.gens) != len(other.gens):
             return False
-        for g in other.gens:
-            member = in_group(self, g)
-            if not (member.in_group and member.sign_match):
-                return False
-        return True
+        # two eliminations for all of other's generators rather than one
+        # each: on the pivot columns P of this generator matrix G, a
+        # member v = c G has c = v[P] G[:, P]^-1
+        g = self.generator_matrix
+        pivots = gf2.rref(g)[1]
+        coeffs = other.generator_matrix[:, pivots] @ gf2.invert(g[:, pivots]) % 2
+        if not np.array_equal(coeffs @ g % 2, other.generator_matrix):
+            return False
+        return all(
+            product((self.gens[i] for i in np.nonzero(c)[0]), n=self.n).sign == op.sign
+            for c, op in zip(coeffs, other.gens)
+        )
 
     def __repr__(self):
         return f"StabilizerCode[[{self.n},{self.k}]]({[str(g) for g in self.gens]})"

@@ -19,9 +19,13 @@ the outgoing one on a sign mismatch):
                     anticommuting with both ends and commuting with
                     everything else still in play.
   5. build_path   - emit the exchange sequence and all intermediate
-                    codes.
-  6. search       - repeat 3-5 with fresh child seeds until every
-                    intermediate code passes the distance check.
+                    codes, each step checked for adjacency and both
+                    endpoints checked as signed groups.
+  6. search       - repeat 3-4 with fresh child seeds on GF(2) rows
+                    (randomize_rows, solve_bridge_rows) and screen each
+                    draw's intermediates for the distance check on those
+                    rows (DrawScreen); only the draw that passes gets
+                    signed Paulis and a build_path + verify_path check.
 
 All randomness flows from one 64-bit seed: retry r uses the child
 generator default_rng(SeedSequence(seed, spawn_key=(r,))), and draws V,
@@ -57,6 +61,11 @@ class AdjacencyViolationError(AssertionError):
 
 class FixtureInvalidError(ValueError):
     """A conversion fixture violates the decomposition invariants."""
+
+
+class PathIntegrityError(ValueError):
+    """A path document whose stored codes do not follow from its first
+    code and steps, or whose endpoints are not its source and target."""
 
 
 class SearchExhaustedError(RuntimeError):
@@ -156,6 +165,15 @@ class ConversionPath:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConversionPath":
+        """Parse a path document, re-deriving intermediates 1..L from the
+        first stored code and the steps.
+
+        Raises PathIntegrityError when a step is not an adjacent exchange,
+        the stored intermediates differ from the derived ones, or the
+        endpoints do not present the source and target signed groups.
+        """
+        source = pauli.code_from_json(doc["source"])
+        target = pauli.code_from_json(doc["target"])
         steps = tuple(
             ConversionStep(
                 measure=PauliOp.from_string(s["measure"]),
@@ -164,11 +182,18 @@ class ConversionPath:
             )
             for s in doc["steps"]
         )
+        start = pauli.code_from_json(doc["intermediates"][0])
+        try:
+            intermediates = _walk_steps(start, steps, source, target)
+        except AdjacencyViolationError as exc:
+            raise PathIntegrityError(str(exc)) from None
+        if [pauli.code_to_json(c) for c in intermediates] != doc["intermediates"]:
+            raise PathIntegrityError("stored intermediates differ from the codes the steps produce")
         return cls(
-            source=pauli.code_from_json(doc["source"]),
-            target=pauli.code_from_json(doc["target"]),
+            source=source,
+            target=target,
             steps=steps,
-            intermediates=tuple(pauli.code_from_json(c) for c in doc["intermediates"]),
+            intermediates=intermediates,
             ancilla_qubits=tuple(doc.get("ancilla_qubits", ())),
             m=int(doc.get("m", 0)),
             seed=doc.get("seed"),
@@ -320,6 +345,50 @@ def decompose(
     )
 
 
+@dataclass(frozen=True)
+class BlockRows:
+    """The generator blocks of a Decomposition as GF(2) row matrices, signs
+    dropped: what the search screens each draw on.  bridges holds one row
+    per bridged pair once solved."""
+
+    shared: np.ndarray
+    bridged_src: np.ndarray
+    bridged_tgt: np.ndarray
+    direct_src: np.ndarray
+    direct_tgt: np.ndarray
+    bridges: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, dec: Decomposition) -> "BlockRows":
+        def rows(ops: Sequence[PauliOp]) -> np.ndarray:
+            return np.array([op.vector for op in ops], dtype=np.uint8).reshape(len(ops), 2 * dec.padded_n)
+
+        return cls(
+            shared=rows(dec.shared),
+            bridged_src=rows(dec.bridged_src),
+            bridged_tgt=rows(dec.bridged_tgt),
+            direct_src=rows(dec.direct_src),
+            direct_tgt=rows(dec.direct_tgt),
+            bridges=None if dec.bridges is None else rows(dec.bridges),
+        )
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One remix of the direct blocks, as coefficient matrices and rows.
+
+    The new direct rows are src_bridged . bridged + src_direct . direct on
+    the source side and tgt_bridged . bridged' + tgt_direct . direct' on
+    the target side; rows holds the remixed blocks (bridges unsolved).
+    """
+
+    src_bridged: np.ndarray
+    src_direct: np.ndarray
+    tgt_bridged: np.ndarray
+    tgt_direct: np.ndarray
+    rows: BlockRows
+
+
 def _mix(
     coeff_bridged: np.ndarray,
     coeff_direct: np.ndarray,
@@ -336,73 +405,92 @@ def _mix(
     return tuple(out)
 
 
-def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
-    """Remix the direct blocks: direct <- U(V . bridged + direct) and
-    direct' <- (U^-1)^T (V' . bridged' + direct'), with exact signs.
+def _signed(dec: Decomposition, draw: Draw, bridges: np.ndarray | None) -> Decomposition:
+    """The Decomposition a draw (and its solved bridge rows) stands for,
+    with exact signs: each remixed row is a product of signed block rows."""
+    n = dec.padded_n
+    return replace(
+        dec,
+        direct_src=_mix(draw.src_bridged, draw.src_direct, dec.bridged_src, dec.direct_src, n),
+        direct_tgt=_mix(draw.tgt_bridged, draw.tgt_direct, dec.bridged_tgt, dec.direct_tgt, n),
+        bridges=None if bridges is None else tuple(PauliOp.from_vector(v) for v in bridges),
+    )
 
-    The commutativity matrix stays the identity, and each new row remains
-    inside its original group, so the padded groups are unchanged.
+
+def randomize_rows(rows: BlockRows, rng: np.random.Generator) -> Draw:
+    """Draw V, V' and then U, and remix the direct rows:
+    direct <- U(V . bridged + direct) and
+    direct' <- (U^-1)^T (V' . bridged' + direct').
+
+    The commutativity matrix stays the identity, which is checked on
+    every draw.
     """
-    a, b, c = dec.counts()
+    c, b = len(rows.direct_src), len(rows.bridged_src)
     v = gf2.random_matrix(c, b, rng)
     vp = gf2.random_matrix(c, b, rng)
     u = gf2.random_gl(c, rng)
     uit = gf2.invert(u).T
-    new_src = _mix((u @ v) % 2, u, dec.bridged_src, dec.direct_src, dec.padded_n)
-    new_tgt = _mix((uit @ vp) % 2, uit, dec.bridged_tgt, dec.direct_tgt, dec.padded_n)
-    if c:
-        got = gf2.symplectic_products(
-            np.array([p.vector for p in new_tgt], dtype=np.uint8),
-            np.array([p.vector for p in new_src], dtype=np.uint8),
-        )
-        if not np.array_equal(got, gf2.identity(c)):
-            raise AdjacencyViolationError("randomization broke the direct pairing")
-    return replace(dec, direct_src=new_src, direct_tgt=new_tgt, bridges=None)
+    ub, uitb = (u @ v) % 2, (uit @ vp) % 2
+    direct_src = (ub @ rows.bridged_src + u @ rows.direct_src) % 2
+    direct_tgt = (uitb @ rows.bridged_tgt + uit @ rows.direct_tgt) % 2
+    if not np.array_equal(gf2.symplectic_products(direct_tgt, direct_src), gf2.identity(c)):
+        raise AdjacencyViolationError("randomization broke the direct pairing")
+    mixed = replace(rows, direct_src=direct_src, direct_tgt=direct_tgt, bridges=None)
+    return Draw(ub, u, uitb, uit, mixed)
 
 
-def _bridge_system(dec: Decomposition, i: int, solved: Sequence[PauliOp]) -> tuple[np.ndarray, np.ndarray]:
+def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
+    """randomize_rows with exact signs: each new row is the product of the
+    signed block rows its coefficients select, so it stays inside its
+    original group and the padded groups are unchanged."""
+    return _signed(dec, randomize_rows(BlockRows.of(dec), rng), None)
+
+
+def _bridge_system(rows: BlockRows, i: int, solved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Constraint system for bridge i, as rows and the symplectic products
     the bridge must have with them: commute with the shared and direct
     blocks on both sides, with later bridged pairs, and with earlier
     bridges; anticommute with both ends of pair i."""
-    rows = [op.vector for op in dec.shared]
-    rows += [op.vector for op in dec.direct_src]
-    rows += [op.vector for op in dec.direct_tgt]
-    rows += [dec.bridged_src[j].vector for j in range(i + 1, len(dec.bridged_src))]
-    rows += [dec.bridged_tgt[j].vector for j in range(i + 1, len(dec.bridged_tgt))]
-    rows += [op.vector for op in solved]
-    rhs = [0] * len(rows)
-    rows += [dec.bridged_src[i].vector, dec.bridged_tgt[i].vector]
-    rhs += [1, 1]
-    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * dec.padded_n)
-    return mat, np.array(rhs, dtype=np.uint8)
+    commute = np.vstack(
+        [
+            rows.shared,
+            rows.direct_src,
+            rows.direct_tgt,
+            rows.bridged_src[i + 1 :],
+            rows.bridged_tgt[i + 1 :],
+            solved,
+        ]
+    )
+    mat = np.vstack([commute, rows.bridged_src[i : i + 1], rows.bridged_tgt[i : i + 1]])
+    rhs = np.zeros(len(mat), dtype=np.uint8)
+    rhs[len(commute) :] = 1
+    return mat, rhs
 
 
-def solve_bridges(
-    dec: Decomposition,
+def solve_bridge_rows(
+    rows: BlockRows,
     rng: np.random.Generator | None = None,
     weight_samples: int = 0,
-) -> Decomposition:
+) -> BlockRows:
     """Solve the bridge constraint system for every bridged pair.
 
     The canonical solution sets all free variables to zero; with
     weight_samples > 0, that many random coset elements are also drawn
-    and the lightest Pauli kept (ties broken by lexicographic bit order).
-    Bridges always get sign +1.
+    and the lightest kept (ties broken by lexicographic bit order).
     """
-    solved: list[PauliOp] = []
-    for i in range(len(dec.bridged_src)):
-        rows, rhs = _bridge_system(dec, i, solved)
-        x0, ker = gf2.solve_affine(gf2.swap_xz(rows), rhs)
+    n = rows.shared.shape[1] // 2
+    solved = gf2.zeros((0, 2 * n))
+
+    def score(vec: np.ndarray) -> tuple[int, tuple[int, ...]]:
+        return int((vec[:n] | vec[n:]).sum()), tuple(int(t) for t in vec)
+
+    for i in range(len(rows.bridged_src)):
+        mat, rhs = _bridge_system(rows, i, solved)
+        x0, ker = gf2.solve_affine(gf2.swap_xz(mat), rhs)
         best = x0
         if weight_samples > 0:
             if rng is None:
                 raise ValueError("weight sampling needs an rng")
-
-            def score(vec: np.ndarray) -> tuple[int, tuple[int, ...]]:
-                n = dec.padded_n
-                return int((vec[:n] | vec[n:]).sum()), tuple(int(t) for t in vec)
-
             for _ in range(weight_samples):
                 if ker.shape[0] == 0:
                     break
@@ -410,8 +498,18 @@ def solve_bridges(
                 cand = (x0 + coeff @ ker) % 2
                 if score(cand) < score(best):
                     best = cand.astype(np.uint8)
-        solved.append(PauliOp.from_vector(best))
-    return replace(dec, bridges=tuple(solved))
+        solved = np.vstack([solved, best])
+    return replace(rows, bridges=solved)
+
+
+def solve_bridges(
+    dec: Decomposition,
+    rng: np.random.Generator | None = None,
+    weight_samples: int = 0,
+) -> Decomposition:
+    """solve_bridge_rows on a signed Decomposition; bridges get sign +1."""
+    rows = solve_bridge_rows(BlockRows.of(dec), rng, weight_samples)
+    return replace(dec, bridges=tuple(PauliOp.from_vector(v) for v in rows.bridges))
 
 
 def canonical_step_order(dec: Decomposition) -> StepOrder:
@@ -425,60 +523,139 @@ def canonical_step_order(dec: Decomposition) -> StepOrder:
     return tuple(order)
 
 
+def _exchanges(order: StepOrder, a: int, bridges, bridged_tgt, direct_tgt):
+    """(replaced index, incoming generator) for each step of order, in a
+    generator list laid out as shared, bridged, direct.  The blocks may be
+    signed Paulis or GF(2) rows."""
+    b = len(bridged_tgt)
+    seen_in: set[int] = set()
+    for kind, i in order:
+        if kind == "bridge_in":
+            seen_in.add(i)
+            yield a + i, bridges[i]
+        elif kind == "direct":
+            yield a + b + i, direct_tgt[i]
+        elif kind == "bridge_out":
+            if i not in seen_in:
+                raise ValueError(f"step order resolves bridge {i} before introducing it")
+            yield a + i, bridged_tgt[i]
+        else:
+            raise ValueError(f"unknown step kind {kind!r}")
+
+
+def _walk_steps(
+    start: StabilizerCode,
+    steps: Sequence[ConversionStep],
+    source: StabilizerCode,
+    target: StabilizerCode,
+) -> tuple[StabilizerCode, ...]:
+    """start followed by the code after each step.
+
+    Raises AdjacencyViolationError unless start presents source's signed
+    group, every step corrects with the generator it replaces and
+    measures an operator anticommuting with that generator alone, and the
+    last code presents target's signed group.
+    """
+    if not start.same_group(source):
+        raise AdjacencyViolationError("the first code does not present the source group")
+    codes = [start]
+    for step in steps:
+        code, idx = codes[-1], step.replaced_index
+        if not 0 <= idx < len(code.gens) or code.gens[idx] != step.correct:
+            raise AdjacencyViolationError(f"step correction {step.correct} is not generator {idx} of its code")
+        syn = pauli.syndrome(code, step.measure)
+        if not syn[idx]:
+            raise AdjacencyViolationError(f"{step.measure} commutes with the generator it replaces")
+        if syn.sum() != 1:
+            other = code.gens[next(j for j in np.nonzero(syn)[0] if j != idx)]
+            raise AdjacencyViolationError(f"{step.measure} anticommutes with untouched generator {other}")
+        gens = list(code.gens)
+        gens[idx] = step.measure
+        codes.append(StabilizerCode(code.n, tuple(gens)))
+    if not codes[-1].same_group(target):
+        raise AdjacencyViolationError("final code does not match the padded target group")
+    return tuple(codes)
+
+
 def build_path(dec: Decomposition) -> ConversionPath:
     """Emit the exchange sequence and every intermediate code.
 
     Every step is checked for adjacency (the incoming generator must
     anticommute with the one it replaces and commute with all others);
-    the final generator list must equal the padded target as a signed
-    group.  Violations raise AdjacencyViolationError since they indicate
-    an upstream bug rather than bad input.
+    the first and last generator lists must equal the padded source and
+    target as signed groups.  Violations raise AdjacencyViolationError
+    since they indicate an upstream bug rather than bad input.
     """
     a, b, c = dec.counts()
     if b and dec.bridges is None:
         raise ValueError("decomposition has bridged pairs but no bridges; run solve_bridges")
     gens: list[PauliOp] = list(dec.shared) + list(dec.bridged_src) + list(dec.direct_src)
-    n = dec.padded_n
+    start = StabilizerCode(dec.padded_n, tuple(gens))
     order = dec.step_order if dec.step_order is not None else canonical_step_order(dec)
-    start = StabilizerCode(n, tuple(gens))
-    if not start.same_group(dec.source):
-        raise AdjacencyViolationError("decomposition blocks do not present the source group")
     steps: list[ConversionStep] = []
-    intermediates: list[StabilizerCode] = [start]
-    seen_in: set[int] = set()
-    for kind, i in order:
-        if kind == "bridge_in":
-            idx, incoming = a + i, dec.bridges[i]
-            seen_in.add(i)
-        elif kind == "direct":
-            idx, incoming = a + b + i, dec.direct_tgt[i]
-        elif kind == "bridge_out":
-            if i not in seen_in:
-                raise ValueError(f"step order resolves bridge {i} before introducing it")
-            idx, incoming = a + i, dec.bridged_tgt[i]
-        else:
-            raise ValueError(f"unknown step kind {kind!r}")
-        outgoing = gens[idx]
-        inc_vec = incoming.vector
-        if gf2.symplectic_product(outgoing.vector, inc_vec) != 1:
-            raise AdjacencyViolationError(f"{incoming} commutes with the generator it replaces")
-        for j, g in enumerate(gens):
-            if j != idx and gf2.symplectic_product(g.vector, inc_vec) != 0:
-                raise AdjacencyViolationError(f"{incoming} anticommutes with untouched generator {g}")
-        steps.append(ConversionStep(measure=incoming, correct=outgoing, replaced_index=idx))
-        gens = list(gens)
+    for idx, incoming in _exchanges(order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt):
+        steps.append(ConversionStep(measure=incoming, correct=gens[idx], replaced_index=idx))
         gens[idx] = incoming
-        intermediates.append(StabilizerCode(n, tuple(gens)))
-    if not intermediates[-1].same_group(dec.target):
-        raise AdjacencyViolationError("final code does not match the padded target group")
     return ConversionPath(
         source=dec.source,
         target=dec.target,
         steps=tuple(steps),
-        intermediates=tuple(intermediates),
+        intermediates=_walk_steps(start, steps, dec.source, dec.target),
         ancilla_qubits=dec.ancilla_qubits,
         m=dec.m,
     )
+
+
+@dataclass(frozen=True)
+class DrawScreen:
+    """Per-search tables that run verify_path's check on a draw's rows.
+
+    errors are the weight < d error vectors that commute with the shared
+    block, in analysis.error_vectors order; logicals is a basis of the
+    padded source's normalizer modulo its group.  A quiet error (one
+    commuting with every generator) lies outside the group exactly when
+    it anticommutes with a logical, and each step carries the logicals
+    along by multiplying those that anticommute with the incoming
+    generator by the outgoing one.
+    """
+
+    errors: np.ndarray
+    logicals: np.ndarray
+    order: StepOrder
+
+    @classmethod
+    def of(cls, dec: Decomposition, d: int) -> "DrawScreen":
+        g = dec.source.generator_matrix
+        errs = analysis.error_vectors(dec.padded_n, d - 1)
+        return cls(
+            errors=gf2.commuting_rows(BlockRows.of(dec).shared, errs),
+            logicals=gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g))),
+            order=canonical_step_order(dec),
+        )
+
+    def first_failure(self, rows: BlockRows) -> tuple[int, PauliOp] | None:
+        """(failing index, witness) as verify_path reports them for the path
+        these rows build, or None if every intermediate passes."""
+        a = len(rows.shared)
+        steps = list(_exchanges(self.order, a, rows.bridges, rows.bridged_tgt, rows.direct_tgt))
+        gens = np.vstack([rows.bridged_src, rows.direct_src, *(inc for _, inc in steps)])
+        syn = gf2.symplectic_products(gens, self.errors)
+        live = len(gens) - len(steps)
+        cur, cur_syn = gens[:live].copy(), syn[:live].copy()
+        logicals = self.logicals.copy()
+        log_syn = gf2.symplectic_products(logicals, self.errors)
+        for j in range(len(steps) + 1):
+            bad = log_syn.any(axis=0) & ~cur_syn.any(axis=0)
+            if bad.any():
+                return j, PauliOp.from_vector(self.errors[int(np.argmax(bad))])
+            if j < len(steps):
+                idx, inc = steps[j]
+                k = idx - a
+                flip = gf2.symplectic_products(logicals, inc)[:, 0].astype(bool)
+                logicals[flip] ^= cur[k]
+                log_syn[flip] ^= cur_syn[k]
+                cur[k], cur_syn[k] = inc, syn[live + j]
+        return None
 
 
 @dataclass(frozen=True)
@@ -511,33 +688,40 @@ def search(
 
     Retry r randomizes with its own child generator, so results are
     reproducible and independent of how many retries earlier runs used.
-    Raises SearchExhaustedError after max_retries failures, reporting the
-    best (largest) distance observed among first-failing intermediates.
+    Each draw is screened on GF(2) rows; only the draw that passes is
+    built with signs and adjacency checks and re-verified by
+    verify_path.  Raises SearchExhaustedError after max_retries
+    failures, reporting the best (largest) witness weight observed among
+    first-failing intermediates.
     """
     if source.k == 0:
         raise ValueError("search needs codes with k >= 1")
     padded_src, padded_tgt = pad(source, target, config.m)
     ancilla = ancilla_qubits_for(source, target, config.m)
     base = decompose(padded_src, padded_tgt, m=config.m, ancilla_qubits=ancilla)
+    rows = BlockRows.of(base)
+    screen = DrawScreen.of(base, config.min_distance)
     rejections: list[Rejection] = []
     best: int | None = None
     for retry in range(config.max_retries):
         rng = child_rng(config.seed, retry)
-        dec = randomize(base, rng)
-        dec = solve_bridges(dec, rng, config.bridge_weight_samples)
-        path = build_path(dec)
-        report = analysis.verify_path(path, config.min_distance)
-        if report.ok:
+        draw = randomize_rows(rows, rng)
+        mixed = solve_bridge_rows(draw.rows, rng, config.bridge_weight_samples)
+        failure = screen.first_failure(mixed)
+        if failure is None:
+            path = build_path(_signed(base, draw, mixed.bridges))
+            if not analysis.verify_path(path, config.min_distance).ok:
+                raise AdjacencyViolationError("verify_path rejects the draw that passed the row screen")
             return SearchResult(
                 path=replace(path, seed=config.seed),
                 retries_used=retry + 1,
                 rejections=tuple(rejections),
             )
-        rej = Rejection(retry, report.failing_index, report.witness)
+        rej = Rejection(retry, *failure)
         rejections.append(rej)
         if on_reject is not None:
             on_reject(rej)
-        found = report.reports[report.failing_index].distance
+        found = rej.witness.weight
         best = found if best is None else max(best, found)
     raise SearchExhaustedError(config.max_retries, best)
 
@@ -575,19 +759,14 @@ def _validate_fixture(dec: Decomposition) -> None:
     c = len(dec.direct_src)
     if len(dec.direct_tgt) != c or len(dec.bridged_src) != len(dec.bridged_tgt):
         raise FixtureInvalidError("block sizes differ between the two columns")
-    if c:
-        h = gf2.symplectic_products(
-            np.array([p.vector for p in dec.direct_tgt], dtype=np.uint8),
-            np.array([p.vector for p in dec.direct_src], dtype=np.uint8),
-        )
-        if not np.array_equal(h, gf2.identity(c)):
-            raise FixtureInvalidError("printed direct blocks do not pair to the identity")
-    bridges = dec.bridges or ()
-    if len(bridges) != len(dec.bridged_src):
+    rows = BlockRows.of(dec)
+    if not np.array_equal(gf2.symplectic_products(rows.direct_tgt, rows.direct_src), gf2.identity(c)):
+        raise FixtureInvalidError("printed direct blocks do not pair to the identity")
+    if len(dec.bridges) != len(dec.bridged_src):
         raise FixtureInvalidError("fixture needs exactly one bridge per bridged pair")
-    for i, br in enumerate(bridges):
-        rows, rhs = _bridge_system(replace(dec, bridges=None), i, bridges[:i])
-        if not np.array_equal(gf2.symplectic_products(rows, br.vector)[:, 0], rhs):
+    for i, br in enumerate(dec.bridges):
+        mat, rhs = _bridge_system(rows, i, rows.bridges[:i])
+        if not np.array_equal(gf2.symplectic_products(mat, br.vector)[:, 0], rhs):
             raise FixtureInvalidError(f"bridge {br} violates its constraint system")
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stabswitch import cli
+from stabswitch import catalog, cli, fixtures, rewiring
 
 
 def run(*argv):
@@ -96,14 +96,44 @@ class TestVerify:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("verify", str(tmp_path / "none.json"), "--min-distance", "3") == cli.EXIT_IO
 
-    def test_failing_path(self, written_path, tmp_path, capsys):
+    def test_failing_path(self, tmp_path, capsys):
+        # an honest path that loses distance: no remix of the (34) pair
+        # keeps distance 3 without ancillas, the unmixed one included
+        st34 = catalog.perm(catalog.STEANE7, "(34)")
+        path = rewiring.build_path(rewiring.decompose(*rewiring.pad(catalog.STEANE7, st34, 0)))
+        weak = tmp_path / "weak.json"
+        weak.write_text(json.dumps(path.to_json()))
+        assert run("verify", str(weak), "--min-distance", "3") == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_stored_weak_intermediate_is_rejected(self, written_path, tmp_path):
         doc = json.loads(written_path.read_text())
         weak = {"n": 7, "k": 1, "generators": ["ZIIIIII", "IZIIIII", "IIZIIII", "IIIZIII", "IIIIZII", "IIIIIZI"]}
         doc["intermediates"][1] = weak
         bad = tmp_path / "weak.json"
         bad.write_text(json.dumps(doc))
-        assert run("verify", str(bad), "--min-distance", "3") == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
+
+    def test_tampered_steps_are_rejected(self, tmp_path, capsys):
+        table1 = rewiring.build_path(rewiring.load_fixture_decomposition(fixtures.TABLE1))
+        good = tmp_path / "table1.json"
+        good.write_text(json.dumps(table1.to_json()))
+        assert run("verify", str(good), "--min-distance", "3") == cli.EXIT_OK
+        doc = table1.to_json()
+        for step in doc["steps"]:
+            step["measure"], step["correct"] = "IIIIIIZ", "IIIIIIX"
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
+        assert "malformed path file" in capsys.readouterr().err
+
+    def test_flipped_intermediate_sign_is_rejected(self, written_path, tmp_path):
+        doc = json.loads(written_path.read_text())
+        gens = doc["intermediates"][2]["generators"]
+        gens[0] = gens[0][1:] if gens[0].startswith("-") else "-" + gens[0]
+        bad = tmp_path / "flipped.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
 
 
 class TestSimulate:

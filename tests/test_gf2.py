@@ -9,6 +9,16 @@ def vec(s):
     return PauliOp.from_string(s).vector
 
 
+class TestAsbits:
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+    def test_fresh_uint8_mod_2(self, dtype):
+        raw = np.array([[0, 1, 2, 3], [5, 4, 7, 6]]).astype(dtype)
+        out = gf2.asbits(raw)
+        assert out.dtype == np.uint8
+        assert not np.shares_memory(out, raw)
+        assert np.array_equal(out, np.array(raw, dtype=np.int64) % 2)
+
+
 class TestSymplecticProduct:
     def test_x_vs_z_same_qubit(self):
         assert gf2.symplectic_product(vec("XI"), vec("ZI")) == 1

@@ -158,6 +158,37 @@ class TestInGroup:
         assert member.in_group and not member.sign_match
 
 
+def same_group_oracle(a, b):
+    """Generator-by-generator signed membership, the check same_group batches."""
+    if a.n != b.n or len(a.gens) != len(b.gens):
+        return False
+    return all(m.in_group and m.sign_match for m in (pauli.in_group(a, g) for g in b.gens))
+
+
+class TestSameGroup:
+    def test_matches_per_generator_oracle(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for trial in range(150):
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(0, n + 1))
+            code = pauli.random_stabilizer_code(n, k, rng)
+            r = len(code.gens)
+            # a signed re-presentation of the same group, then variants
+            mix = gf2.random_gl(r, rng)
+            same = StabilizerCode(n, tuple(pauli.product((code.gens[i] for i in np.nonzero(row)[0]), n=n) for row in mix))
+            others = [same, pauli.random_stabilizer_code(n, k, rng)]
+            if r:
+                j = int(rng.integers(0, r))
+                flipped = PauliOp(same.gens[j].x, same.gens[j].z, -same.gens[j].sign)
+                others.append(StabilizerCode(n, same.gens[:j] + (flipped,) + same.gens[j + 1 :]))
+            for other in others:
+                want = same_group_oracle(code, other)
+                assert code.same_group(other) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
 class TestNormalizer:
     def test_single_qubit_empty_code(self):
         code = StabilizerCode(1, ())

@@ -305,6 +305,134 @@ class TestSearch:
         assert all(r.witness.weight < 3 for r in seen)
 
 
+# steane7 -> perm(steane7,(34)) at m=1, seed 7, 40 retries, distance 3:
+# every (retry, failing index, witness) and the best floor, as produced
+# by the signed per-draw loop the row screen replaced
+PINNED_M1_SEED7 = [
+    (0, 1, "IIIIIIZI"), (1, 1, "IIIIIIXI"), (2, 2, "IIIIIIYI"), (3, 1, "IIIIIIXI"),
+    (4, 1, "IIIIIIYI"), (5, 2, "IIIIIIYI"), (6, 1, "IIIIIIXI"), (7, 1, "IIIIIIZX"),
+    (8, 1, "IIIIIIYI"), (9, 2, "IIIIIIXI"), (10, 1, "IIIIIIZX"), (11, 1, "IIIIIIXI"),
+    (12, 1, "IIIIIIZI"), (13, 1, "IIIIIIZX"), (14, 1, "IIIIIIXI"), (15, 1, "IIIIIIZI"),
+    (16, 1, "IIIIIIXI"), (17, 1, "IIIIIIYX"), (18, 1, "IIIIIIYX"), (19, 1, "IIIIIIYI"),
+    (20, 1, "IIIIIIYI"), (21, 1, "IIIIIIZX"), (22, 1, "IIIIIIXX"), (23, 1, "IIIIIIZI"),
+    (24, 2, "IIIIIIZI"), (25, 1, "IIIIIIYX"), (26, 1, "IIIIIIXI"), (27, 2, "IIIIIIXI"),
+    (28, 1, "IIIIIIXX"), (29, 1, "IIIIIIXI"), (30, 1, "IIIIIIZI"), (31, 1, "IIIIIIXX"),
+    (32, 1, "IIIIIIZI"), (33, 1, "IIIIIIXX"), (34, 1, "IIIIIIYI"), (35, 1, "IIIIIIYI"),
+    (36, 1, "IIIIIIYX"), (37, 1, "IIIIIIYI"), (38, 1, "IIIIIIZI"), (39, 1, "IIIIIIXX"),
+]
+
+
+def test_pinned_rejections(steane7):
+    st34 = catalog.perm(steane7, "(34)")
+    seen = []
+    cfg = rewiring.RewiringConfig(m=1, seed=7, max_retries=40, min_distance=3)
+    with pytest.raises(rewiring.SearchExhaustedError) as err:
+        rewiring.search(steane7, st34, cfg, on_reject=seen.append)
+    assert [(r.retry, r.failing_index, r.witness.to_string()) for r in seen] == PINNED_M1_SEED7
+    assert err.value.best_distance_floor == 2
+
+
+def _oracle_randomize(dec, rng):
+    """The signed randomization the row draw replaced."""
+    a, b, c = dec.counts()
+    v = gf2.random_matrix(c, b, rng)
+    vp = gf2.random_matrix(c, b, rng)
+    u = gf2.random_gl(c, rng)
+    uit = gf2.invert(u).T
+    new_src = rewiring._mix((u @ v) % 2, u, dec.bridged_src, dec.direct_src, dec.padded_n)
+    new_tgt = rewiring._mix((uit @ vp) % 2, uit, dec.bridged_tgt, dec.direct_tgt, dec.padded_n)
+    return dataclasses.replace(dec, direct_src=new_src, direct_tgt=new_tgt, bridges=None)
+
+
+def _oracle_solve_bridges(dec, rng, weight_samples):
+    """The signed bridge solve the row solve replaced."""
+    n = dec.padded_n
+    solved = []
+    for i in range(len(dec.bridged_src)):
+        rows = [op.vector for op in dec.shared + dec.direct_src + dec.direct_tgt]
+        rows += [op.vector for op in dec.bridged_src[i + 1 :] + dec.bridged_tgt[i + 1 :]]
+        rows += [op.vector for op in solved]
+        rhs = [0] * len(rows) + [1, 1]
+        rows += [dec.bridged_src[i].vector, dec.bridged_tgt[i].vector]
+        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+        x0, ker = gf2.solve_affine(gf2.swap_xz(mat), np.array(rhs, dtype=np.uint8))
+        best = x0
+
+        def score(vec):
+            return int((vec[:n] | vec[n:]).sum()), tuple(int(t) for t in vec)
+
+        for _ in range(weight_samples):
+            if ker.shape[0] == 0:
+                break
+            cand = (x0 + rng.integers(0, 2, size=ker.shape[0], dtype=np.uint8) @ ker) % 2
+            if score(cand) < score(best):
+                best = cand.astype(np.uint8)
+        solved.append(PauliOp.from_vector(best))
+    return dataclasses.replace(dec, bridges=tuple(solved))
+
+
+def _oracle_search(source, target, cfg):
+    """Signed path and verify_path on every draw: the loop search replaced.
+    Returns (rejections, retries used or None, best floor, path JSON)."""
+    pa, pb = rewiring.pad(source, target, cfg.m)
+    base = rewiring.decompose(pa, pb, m=cfg.m, ancilla_qubits=rewiring.ancilla_qubits_for(source, target, cfg.m))
+    rejections, best = [], None
+    for retry in range(cfg.max_retries):
+        rng = rewiring.child_rng(cfg.seed, retry)
+        dec = _oracle_solve_bridges(_oracle_randomize(base, rng), rng, cfg.bridge_weight_samples)
+        path = rewiring.build_path(dec)
+        report = analysis.verify_path(path, cfg.min_distance)
+        if report.ok:
+            doc = dataclasses.replace(path, seed=cfg.seed).to_json()
+            return rejections, retry + 1, best, json.dumps(doc)
+        rejections.append((retry, report.failing_index, report.witness.to_string()))
+        found = report.reports[report.failing_index].distance
+        best = found if best is None else max(best, found)
+    return rejections, None, best, None
+
+
+ORACLE_CASES = [
+    ("steane7", "perm(steane7,(34))", 0, 0),
+    ("steane7", "perm(steane7,(34))", 1, 0),
+    ("steane7", "perm(steane7,(34))", 2, 0),
+    ("steane7", "perfect5", 0, 0),
+    ("steane7", "perfect5", 0, 3),
+    ("steane7", "perfect5", 4, 0),
+    ("steane7", "perfect5", 4, 3),
+    ("perfect5", "steane7", 0, 0),
+]
+
+
+@pytest.mark.parametrize("src,tgt,m,samples", ORACLE_CASES)
+def test_search_matches_signed_oracle(src, tgt, m, samples):
+    """25 seeds per case, 200 searches in all: the row screen must give the
+    signed loop's rejections, retry count, best floor and path bytes."""
+    source, target = catalog.resolve(src), catalog.resolve(tgt)
+    outcomes = set()
+    for seed in range(25):
+        cfg = rewiring.RewiringConfig(
+            m=m, seed=seed, max_retries=12, min_distance=3, bridge_weight_samples=samples
+        )
+        rejections, used, best, doc = _oracle_search(source, target, cfg)
+        seen = []
+        try:
+            res = rewiring.search(source, target, cfg, on_reject=seen.append)
+        except rewiring.SearchExhaustedError as exc:
+            got = (None, exc.best_distance_floor, None)
+        else:
+            got = (res.retries_used, best, json.dumps(res.path.to_json()))
+            assert [(r.retry, r.failing_index, r.witness.to_string()) for r in res.rejections] == rejections
+        assert got == (used, best, doc)
+        assert [(r.retry, r.failing_index, r.witness.to_string()) for r in seen] == rejections
+        outcomes.add(used is not None)
+    # both branches are compared: no (34) path exists below m = 2, and
+    # with more ancillas some draws are accepted
+    if tgt == "perm(steane7,(34))" and m < 2:
+        assert outcomes == {False}
+    if m >= 2:
+        assert True in outcomes
+
+
 def _direct_mix_from_u(dec, u):
     """Deterministic remix of the direct blocks by an explicit invertible u."""
     c = len(dec.direct_src)
@@ -387,6 +515,58 @@ class TestPathJson:
             again = rewiring.ConversionPath.from_json(doc)
             assert again == path
             assert json.dumps(again.to_json()) == json.dumps(doc)
+
+    def test_round_trip_derives_intermediates(self, table_paths):
+        doc = table_paths["table1"].to_json()
+        again = rewiring.ConversionPath.from_json(doc)
+        assert again.intermediates == table_paths["table1"].intermediates
+
+    def tampered(self, table_paths, edit):
+        doc = json.loads(json.dumps(table_paths["table1"].to_json()))
+        edit(doc)
+        with pytest.raises(rewiring.PathIntegrityError) as err:
+            rewiring.ConversionPath.from_json(doc)
+        return str(err.value)
+
+    def test_rejects_non_adjacent_steps(self, table_paths):
+        def edit(doc):
+            for step in doc["steps"]:
+                step["measure"], step["correct"] = "IIIIIIZ", "IIIIIIX"
+
+        assert "not generator" in self.tampered(table_paths, edit)
+
+    def test_rejects_measure_anticommuting_with_untouched_generator(self, table_paths):
+        def edit(doc):
+            doc["steps"][0]["measure"] = "XIIIIII"
+
+        assert "anticommutes with untouched generator" in self.tampered(table_paths, edit)
+
+    def test_rejects_measure_commuting_with_replaced_generator(self, table_paths):
+        def edit(doc):
+            doc["steps"][0]["measure"] = "ZIIIIII"
+
+        assert "commutes with the generator it replaces" in self.tampered(table_paths, edit)
+
+    def test_rejects_flipped_stored_sign(self, table_paths):
+        def edit(doc):
+            gens = doc["intermediates"][3]["generators"]
+            gens[-1] = gens[-1][1:] if gens[-1].startswith("-") else "-" + gens[-1]
+
+        assert "stored intermediates differ" in self.tampered(table_paths, edit)
+
+    def test_rejects_first_code_outside_source_group(self, table_paths):
+        def edit(doc):
+            for code in doc["intermediates"]:
+                code["generators"][0] = code["generators"][0].lstrip("-")
+
+        assert "source group" in self.tampered(table_paths, edit)
+
+    def test_rejects_final_code_outside_target_group(self, table_paths):
+        def edit(doc):
+            gens = doc["target"]["generators"]
+            gens[-1] = gens[-1][1:] if gens[-1].startswith("-") else "-" + gens[-1]
+
+        assert "target group" in self.tampered(table_paths, edit)
 
     def test_schema_keys(self, table_paths):
         doc = table_paths["table3"].to_json()
