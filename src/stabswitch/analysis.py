@@ -4,7 +4,10 @@ Minimum distances are computed by exhaustive enumeration: Pauli errors
 are listed weight by weight (supports in lexicographic order, letters
 X < Y < Z per position), and the first element of the syndrome-map
 kernel that falls outside the stabilizer group is the witness.  This is
-exponential in the weight cap and intended for desk-scale codes.
+exponential in the weight cap and intended for desk-scale codes.  The
+zero-syndrome errors of one weight are tested for group membership all
+at once (gf2.span_coefficients, two eliminations per code and weight);
+step_subsystem_distance reads the gauge coefficients off the same call.
 
 The failure-probability bound combines a union bound over low-weight
 errors with a Chernoff estimate of their count; see failure_bound for
@@ -86,18 +89,24 @@ class DistanceReport:
 def detectable(code: StabilizerCode, e: PauliOp) -> bool:
     """True iff e has a nonzero syndrome or lies in the stabilizer group
     (vector level, signs ignored)."""
-    if pauli.syndrome(code, e).any():
-        return True
-    return pauli.in_group(code, e).in_group
+    return not undetectable(code, e.vector[None])[0]
+
+
+def undetectable(code: StabilizerCode, errs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of errs that have zero syndrome yet lie outside
+    the stabilizer group (vector level, signs ignored)."""
+    g = code.generator_matrix
+    quiet = ~gf2.symplectic_products(g, errs).any(axis=0)
+    mask = np.zeros(len(quiet), dtype=bool)
+    if quiet.any():  # most error lists have no quiet row: skip the eliminations
+        mask[quiet] = ~gf2.span_coefficients(g, errs[quiet])[1]
+    return mask
 
 
 def _first_logical(code: StabilizerCode, errs: np.ndarray) -> np.ndarray | None:
     """First row of errs with zero syndrome that is outside the group."""
-    g = code.generator_matrix
-    for v in gf2.commuting_rows(g, errs):
-        if not gf2.in_rowspace(g, v):
-            return v
-    return None
+    hits = np.nonzero(undetectable(code, errs))[0]
+    return errs[hits[0]] if hits.size else None
 
 
 def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
@@ -200,13 +209,10 @@ def step_subsystem_distance(pre_code: StabilizerCode, step) -> int | None:
     rest_mat = np.array(rest, dtype=np.uint8).reshape(len(rest), 2 * pre_code.n)
     gauge = np.vstack([rest_mat, outgoing.vector.reshape(1, -1), step.measure.vector.reshape(1, -1)])
     for w in range(1, pre_code.n + 1):
-        for v in gf2.commuting_rows(rest_mat, _errors_at_weight(pre_code.n, w)):
-            try:
-                coeff, _ = gf2.solve_affine(gauge.T, v)
-            except gf2.InconsistentSystemError:
-                return w
-            if coeff[-1] and coeff[-2]:
-                return w
+        quiet = gf2.commuting_rows(rest_mat, _errors_at_weight(pre_code.n, w))
+        coeffs, inside = gf2.span_coefficients(gauge, quiet)
+        if (~inside | (coeffs[:, -1] & coeffs[:, -2]).astype(bool)).any():
+            return w
     return None
 
 
@@ -392,8 +398,8 @@ def commutativity_check(
     for _ in range(basis_trials):
         if rng is None:
             raise ValueError("basis_trials needs an rng")
-        a1 = gf2.random_gl(len(s.gens), rng)
-        a2 = gf2.random_gl(len(sp.gens), rng)
+        a1 = gf2.random_gl(len(s.gens), rng)[0]
+        a2 = gf2.random_gl(len(sp.gens), rng)[0]
         g1 = (a1 @ s.generator_matrix) % 2
         g2 = (a2 @ sp.generator_matrix) % 2
         ranks.append(gf2.rank(gf2.symplectic_products(g1, g2)))

@@ -111,16 +111,24 @@ def rank(m: np.ndarray) -> int:
     return len(rref(m)[1])
 
 
+def _inverse(m: np.ndarray) -> np.ndarray | None:
+    """Inverse of a square matrix read off one elimination of [m | I], or
+    None when m is singular (some pivot then falls in the right block)."""
+    d = m.shape[0]
+    aug, pivots = rref(np.hstack([m, identity(d)]))
+    return aug[:, d:].copy() if pivots == list(range(d)) else None
+
+
 def invert(m: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix; raises SingularMatrixError if rank-deficient."""
     m = np.atleast_2d(asbits(m))
     d = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is {m.shape}, not square")
-    aug, pivots = rref(np.hstack([m, identity(d)]))
-    if pivots != list(range(d)):
+    inv = _inverse(m)
+    if inv is None:
         raise SingularMatrixError(f"rank {rank(m)} < dimension {d}")
-    return aug[:, d:].copy()
+    return inv
 
 
 def _kernel_from_rref(r: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
@@ -165,6 +173,25 @@ def solve_affine(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x0 = zeros(cols)
     x0[pivots] = aug[: len(pivots), cols]
     return x0, _kernel_from_rref(aug, pivots, cols)
+
+
+def span_coefficients(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of many rows in an independent basis, and which rows
+    lie in its span.
+
+    Returns (coeffs, inside) with coeffs[i] @ basis == rows[i] wherever
+    inside[i]; coeffs of a row outside the span mean nothing.  Two
+    eliminations however many rows: on the pivot columns P of basis, a
+    member v = c basis has c = v[P] basis[:, P]^-1.
+    """
+    basis = np.atleast_2d(asbits(basis))
+    rows = np.atleast_2d(asbits(rows))
+    pivots = rref(basis)[1]
+    if len(pivots) != basis.shape[0]:
+        raise NotIndependentError("basis rows are dependent")
+    # uint8 sums wrap mod 256, an even modulus, so the parity stays exact
+    coeffs = rows[:, pivots] @ invert(basis[:, pivots]) % 2
+    return coeffs, (coeffs @ basis % 2 == rows).all(axis=1)
 
 
 def in_rowspace(m: np.ndarray, v: np.ndarray) -> bool:
@@ -218,18 +245,19 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
 
-def random_gl(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random invertible dim x dim matrix, by rejection sampling.
+def random_gl(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random invertible dim x dim matrix and its inverse, by
+    rejection sampling; the elimination that tests each draw's rank also
+    yields the inverse.
 
     The acceptance probability prod_{i=1..dim}(1 - 2^-i) stays above
     0.288 for every dim, so the expected number of draws is below 3.5.
     """
-    if dim == 0:
-        return zeros((0, 0))
     while True:
         m = random_matrix(dim, dim, rng)
-        if rank(m) == dim:
-            return m
+        inv = _inverse(m)
+        if inv is not None:
+            return m, inv
 
 
 def batch_invert(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

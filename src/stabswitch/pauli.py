@@ -256,18 +256,7 @@ class StabilizerCode:
         """True iff both codes generate the same signed stabilizer group."""
         if self.n != other.n or len(self.gens) != len(other.gens):
             return False
-        # two eliminations for all of other's generators rather than one
-        # each: on the pivot columns P of this generator matrix G, a
-        # member v = c G has c = v[P] G[:, P]^-1
-        g = self.generator_matrix
-        pivots = gf2.rref(g)[1]
-        coeffs = other.generator_matrix[:, pivots] @ gf2.invert(g[:, pivots]) % 2
-        if not np.array_equal(coeffs @ g % 2, other.generator_matrix):
-            return False
-        return all(
-            product((self.gens[i] for i in np.nonzero(c)[0]), n=self.n).sign == op.sign
-            for c, op in zip(coeffs, other.gens)
-        )
+        return group_elements(self, other.generator_matrix) == list(other.gens)
 
     def __repr__(self):
         return f"StabilizerCode[[{self.n},{self.k}]]({[str(g) for g in self.gens]})"
@@ -288,25 +277,20 @@ def syndrome(code: StabilizerCode, e: PauliOp) -> np.ndarray:
     return (gf2.swap_xz(g).astype(np.int64) @ e.vector.astype(np.int64) % 2).astype(np.uint8)
 
 
-def group_coefficients(code: StabilizerCode, v: np.ndarray) -> np.ndarray | None:
-    """Coefficients c with c @ generator_matrix = v, or None if v is outside."""
-    g = code.generator_matrix
-    v = gf2.asbits(v)
-    if not v.any():
-        return gf2.zeros(g.shape[0])
-    try:
-        x0, _ = gf2.solve_affine(g.T, v)
-    except gf2.InconsistentSystemError:
-        return None
-    return x0
+def group_elements(code: StabilizerCode, rows: np.ndarray) -> list[PauliOp | None]:
+    """The signed group element whose vector is each row of rows (None for
+    rows outside the group): a group never holds -1, so the vector fixes
+    the sign."""
+    coeffs, inside = gf2.span_coefficients(code.generator_matrix, rows)
+    return [
+        product((code.gens[i] for i in np.nonzero(c)[0]), n=code.n) if ok else None
+        for c, ok in zip(coeffs, inside)
+    ]
 
 
 def group_element(code: StabilizerCode, v: np.ndarray) -> PauliOp | None:
     """The signed group element whose vector is v, or None if v is outside."""
-    coeff = group_coefficients(code, v)
-    if coeff is None:
-        return None
-    return product((code.gens[i] for i in np.nonzero(coeff)[0]), n=code.n)
+    return group_elements(code, v)[0]
 
 
 def in_group(code: StabilizerCode, e: PauliOp) -> Membership:

@@ -21,11 +21,15 @@ the outgoing one on a sign mismatch):
   5. build_path   - emit the exchange sequence and all intermediate
                     codes, each step checked for adjacency and both
                     endpoints checked as signed groups.
-  6. search       - repeat 3-4 with fresh child seeds on GF(2) rows
-                    (randomize_rows, solve_bridge_rows) and screen each
-                    draw's intermediates for the distance check on those
-                    rows (DrawScreen); only the draw that passes gets
-                    signed Paulis and a build_path + verify_path check.
+  6. search       - repeat 3-4 with fresh child seeds and screen each
+                    draw's intermediates for the distance check
+                    (DrawScreen); only the draw that passes is built
+                    and re-checked by verify_path.
+
+A Decomposition holds its blocks as GF(2) row matrices only.  Every
+row except a bridge lies in the padded source or target group, and a
+group never holds -1, so the group fixes its sign: build_path reads the
+signs off the two groups, and gives each bridge the sign +1.
 
 All randomness flows from one 64-bit seed: retry r uses the child
 generator default_rng(SeedSequence(seed, spawn_key=(r,))), and draws V,
@@ -87,14 +91,15 @@ class SearchExhaustedError(RuntimeError):
 StepOrder = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Prepared generator blocks for a padded code pair.
+    """Prepared generator blocks for a padded code pair, as GF(2) row
+    matrices (one row per generator, no signs).
 
     shared rows belong to both groups (with equal signs); bridged rows of
     one group normalize the other; the direct blocks satisfy
     <direct_tgt[i], direct_src[j]> = delta_ij after normalization.
-    bridges holds one auxiliary operator per bridged pair once solved.
+    bridges holds one auxiliary row per bridged pair once solved.
     step_order, when set, overrides the canonical exchange order (used by
     fixtures that prescribe their own printed order).
     """
@@ -103,12 +108,12 @@ class Decomposition:
     target: StabilizerCode
     m: int
     ancilla_qubits: tuple[int, ...]
-    shared: tuple[PauliOp, ...]
-    bridged_src: tuple[PauliOp, ...]
-    bridged_tgt: tuple[PauliOp, ...]
-    direct_src: tuple[PauliOp, ...]
-    direct_tgt: tuple[PauliOp, ...]
-    bridges: tuple[PauliOp, ...] | None = None
+    shared: np.ndarray
+    bridged_src: np.ndarray
+    bridged_tgt: np.ndarray
+    direct_src: np.ndarray
+    direct_tgt: np.ndarray
+    bridges: np.ndarray | None = None
     step_order: StepOrder | None = None
 
     @property
@@ -168,12 +173,25 @@ class ConversionPath:
         """Parse a path document, re-deriving intermediates 1..L from the
         first stored code and the steps.
 
-        Raises PathIntegrityError when a step is not an adjacent exchange,
-        the stored intermediates differ from the derived ones, or the
-        endpoints do not present the source and target signed groups.
+        Raises PathIntegrityError when n is not the codes' qubit count, m
+        is not an integer >= 0, ancilla_qubits are not distinct qubit
+        indices, a step is not an adjacent exchange, the stored
+        intermediates differ from the derived ones, or the endpoints do
+        not present the source and target signed groups.
         """
         source = pauli.code_from_json(doc["source"])
         target = pauli.code_from_json(doc["target"])
+        n, m, ancilla = doc["n"], doc.get("m", 0), doc.get("ancilla_qubits", [])
+        if n != source.n:
+            raise PathIntegrityError(f"declared n={n!r} but the codes act on {source.n} qubits")
+        if not _is_int(m) or m < 0:
+            raise PathIntegrityError(f"m must be an integer >= 0, got {m!r}")
+        if not (
+            isinstance(ancilla, list)
+            and all(_is_int(q) and 0 <= q < n for q in ancilla)
+            and len(set(ancilla)) == len(ancilla)
+        ):
+            raise PathIntegrityError(f"ancilla_qubits must be distinct integers in 0..{n - 1}, got {ancilla!r}")
         steps = tuple(
             ConversionStep(
                 measure=PauliOp.from_string(s["measure"]),
@@ -194,10 +212,14 @@ class ConversionPath:
             target=target,
             steps=steps,
             intermediates=intermediates,
-            ancilla_qubits=tuple(doc.get("ancilla_qubits", ())),
-            m=int(doc.get("m", 0)),
+            ancilla_qubits=tuple(ancilla),
+            m=m,
             seed=doc.get("seed"),
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -302,32 +324,22 @@ def subspace_bases(
     return ga, gb, gc, gbp, gcp
 
 
-def _signed_rows(code: StabilizerCode, rows: np.ndarray) -> tuple[PauliOp, ...]:
-    out = []
-    for v in rows:
-        elem = pauli.group_element(code, v)
-        if elem is None:
-            raise AdjacencyViolationError("decomposition row escaped its group")
-        out.append(elem)
-    return tuple(out)
-
-
 def decompose(
     source: StabilizerCode,
     target: StabilizerCode,
     m: int = 0,
     ancilla_qubits: tuple[int, ...] = (),
 ) -> Decomposition:
-    """Split a padded pair into shared / bridged / direct blocks with
-    exact signs reconstructed from each group."""
+    """Split a padded pair into shared / bridged / direct blocks.
+
+    Raises SignMismatchError when a shared row carries opposite signs in
+    the two groups."""
     if source.n != target.n:
         raise ValueError("codes must be padded to a common qubit count first")
     ga, gb, gc, gbp, gcp = subspace_bases(source.generator_matrix, target.generator_matrix)
-    shared = _signed_rows(source, ga)
-    for op, v in zip(shared, ga):
-        other = pauli.group_element(target, v)
-        if other is None:
-            raise AdjacencyViolationError(f"shared row {op} is outside the target group")
+    for op, other in zip(pauli.group_elements(source, ga), pauli.group_elements(target, ga)):
+        if op is None or other is None:
+            raise AdjacencyViolationError("a shared row is outside one of the groups")
         if other.sign != op.sign:
             raise SignMismatchError(
                 f"shared stabilizer {op} has sign {other.sign:+d} in the target group"
@@ -337,155 +349,75 @@ def decompose(
         target=target,
         m=m,
         ancilla_qubits=tuple(ancilla_qubits),
-        shared=shared,
-        bridged_src=_signed_rows(source, gb),
-        bridged_tgt=_signed_rows(target, gbp),
-        direct_src=_signed_rows(source, gc),
-        direct_tgt=_signed_rows(target, gcp),
+        shared=ga,
+        bridged_src=gb,
+        bridged_tgt=gbp,
+        direct_src=gc,
+        direct_tgt=gcp,
     )
 
 
-@dataclass(frozen=True)
-class BlockRows:
-    """The generator blocks of a Decomposition as GF(2) row matrices, signs
-    dropped: what the search screens each draw on.  bridges holds one row
-    per bridged pair once solved."""
-
-    shared: np.ndarray
-    bridged_src: np.ndarray
-    bridged_tgt: np.ndarray
-    direct_src: np.ndarray
-    direct_tgt: np.ndarray
-    bridges: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, dec: Decomposition) -> "BlockRows":
-        def rows(ops: Sequence[PauliOp]) -> np.ndarray:
-            return np.array([op.vector for op in ops], dtype=np.uint8).reshape(len(ops), 2 * dec.padded_n)
-
-        return cls(
-            shared=rows(dec.shared),
-            bridged_src=rows(dec.bridged_src),
-            bridged_tgt=rows(dec.bridged_tgt),
-            direct_src=rows(dec.direct_src),
-            direct_tgt=rows(dec.direct_tgt),
-            bridges=None if dec.bridges is None else rows(dec.bridges),
-        )
-
-
-@dataclass(frozen=True)
-class Draw:
-    """One remix of the direct blocks, as coefficient matrices and rows.
-
-    The new direct rows are src_bridged . bridged + src_direct . direct on
-    the source side and tgt_bridged . bridged' + tgt_direct . direct' on
-    the target side; rows holds the remixed blocks (bridges unsolved).
-    """
-
-    src_bridged: np.ndarray
-    src_direct: np.ndarray
-    tgt_bridged: np.ndarray
-    tgt_direct: np.ndarray
-    rows: BlockRows
-
-
-def _mix(
-    coeff_bridged: np.ndarray,
-    coeff_direct: np.ndarray,
-    bridged: Sequence[PauliOp],
-    direct: Sequence[PauliOp],
-    n: int,
-) -> tuple[PauliOp, ...]:
-    """Rows of products selected by two coefficient matrices (sign-exact)."""
-    out = []
-    for rb, rc in zip(coeff_bridged, coeff_direct):
-        factors = [bridged[j] for j in np.nonzero(rb)[0]]
-        factors += [direct[j] for j in np.nonzero(rc)[0]]
-        out.append(pauli.product(factors, n=n))
-    return tuple(out)
-
-
-def _signed(dec: Decomposition, draw: Draw, bridges: np.ndarray | None) -> Decomposition:
-    """The Decomposition a draw (and its solved bridge rows) stands for,
-    with exact signs: each remixed row is a product of signed block rows."""
-    n = dec.padded_n
-    return replace(
-        dec,
-        direct_src=_mix(draw.src_bridged, draw.src_direct, dec.bridged_src, dec.direct_src, n),
-        direct_tgt=_mix(draw.tgt_bridged, draw.tgt_direct, dec.bridged_tgt, dec.direct_tgt, n),
-        bridges=None if bridges is None else tuple(PauliOp.from_vector(v) for v in bridges),
-    )
-
-
-def randomize_rows(rows: BlockRows, rng: np.random.Generator) -> Draw:
+def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
     """Draw V, V' and then U, and remix the direct rows:
     direct <- U(V . bridged + direct) and
     direct' <- (U^-1)^T (V' . bridged' + direct').
 
-    The commutativity matrix stays the identity, which is checked on
-    every draw.
+    Each new row is a sum of rows of its own group, so the padded groups
+    are unchanged, and the commutativity matrix stays the identity, which
+    is checked on every draw.
     """
-    c, b = len(rows.direct_src), len(rows.bridged_src)
+    _, b, c = dec.counts()
     v = gf2.random_matrix(c, b, rng)
     vp = gf2.random_matrix(c, b, rng)
-    u = gf2.random_gl(c, rng)
-    uit = gf2.invert(u).T
-    ub, uitb = (u @ v) % 2, (uit @ vp) % 2
-    direct_src = (ub @ rows.bridged_src + u @ rows.direct_src) % 2
-    direct_tgt = (uitb @ rows.bridged_tgt + uit @ rows.direct_tgt) % 2
+    u, u_inv = gf2.random_gl(c, rng)
+    uit = u_inv.T
+    direct_src = ((u @ v) % 2 @ dec.bridged_src + u @ dec.direct_src) % 2
+    direct_tgt = ((uit @ vp) % 2 @ dec.bridged_tgt + uit @ dec.direct_tgt) % 2
     if not np.array_equal(gf2.symplectic_products(direct_tgt, direct_src), gf2.identity(c)):
         raise AdjacencyViolationError("randomization broke the direct pairing")
-    mixed = replace(rows, direct_src=direct_src, direct_tgt=direct_tgt, bridges=None)
-    return Draw(ub, u, uitb, uit, mixed)
+    return replace(dec, direct_src=direct_src, direct_tgt=direct_tgt, bridges=None)
 
 
-def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
-    """randomize_rows with exact signs: each new row is the product of the
-    signed block rows its coefficients select, so it stays inside its
-    original group and the padded groups are unchanged."""
-    return _signed(dec, randomize_rows(BlockRows.of(dec), rng), None)
-
-
-def _bridge_system(rows: BlockRows, i: int, solved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bridge_system(dec: Decomposition, i: int, solved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Constraint system for bridge i, as rows and the symplectic products
     the bridge must have with them: commute with the shared and direct
     blocks on both sides, with later bridged pairs, and with earlier
     bridges; anticommute with both ends of pair i."""
     commute = np.vstack(
         [
-            rows.shared,
-            rows.direct_src,
-            rows.direct_tgt,
-            rows.bridged_src[i + 1 :],
-            rows.bridged_tgt[i + 1 :],
+            dec.shared,
+            dec.direct_src,
+            dec.direct_tgt,
+            dec.bridged_src[i + 1 :],
+            dec.bridged_tgt[i + 1 :],
             solved,
         ]
     )
-    mat = np.vstack([commute, rows.bridged_src[i : i + 1], rows.bridged_tgt[i : i + 1]])
+    mat = np.vstack([commute, dec.bridged_src[i : i + 1], dec.bridged_tgt[i : i + 1]])
     rhs = np.zeros(len(mat), dtype=np.uint8)
     rhs[len(commute) :] = 1
     return mat, rhs
 
 
-def solve_bridge_rows(
-    rows: BlockRows,
+def solve_bridges(
+    dec: Decomposition,
     rng: np.random.Generator | None = None,
     weight_samples: int = 0,
-) -> BlockRows:
+) -> Decomposition:
     """Solve the bridge constraint system for every bridged pair.
 
     The canonical solution sets all free variables to zero; with
     weight_samples > 0, that many random coset elements are also drawn
     and the lightest kept (ties broken by lexicographic bit order).
     """
-    n = rows.shared.shape[1] // 2
+    n = dec.padded_n
     solved = gf2.zeros((0, 2 * n))
 
     def score(vec: np.ndarray) -> tuple[int, tuple[int, ...]]:
         return int((vec[:n] | vec[n:]).sum()), tuple(int(t) for t in vec)
 
-    for i in range(len(rows.bridged_src)):
-        mat, rhs = _bridge_system(rows, i, solved)
+    for i in range(len(dec.bridged_src)):
+        mat, rhs = _bridge_system(dec, i, solved)
         x0, ker = gf2.solve_affine(gf2.swap_xz(mat), rhs)
         best = x0
         if weight_samples > 0:
@@ -499,17 +431,7 @@ def solve_bridge_rows(
                 if score(cand) < score(best):
                     best = cand.astype(np.uint8)
         solved = np.vstack([solved, best])
-    return replace(rows, bridges=solved)
-
-
-def solve_bridges(
-    dec: Decomposition,
-    rng: np.random.Generator | None = None,
-    weight_samples: int = 0,
-) -> Decomposition:
-    """solve_bridge_rows on a signed Decomposition; bridges get sign +1."""
-    rows = solve_bridge_rows(BlockRows.of(dec), rng, weight_samples)
-    return replace(dec, bridges=tuple(PauliOp.from_vector(v) for v in rows.bridges))
+    return replace(dec, bridges=solved)
 
 
 def canonical_step_order(dec: Decomposition) -> StepOrder:
@@ -526,7 +448,7 @@ def canonical_step_order(dec: Decomposition) -> StepOrder:
 def _exchanges(order: StepOrder, a: int, bridges, bridged_tgt, direct_tgt):
     """(replaced index, incoming generator) for each step of order, in a
     generator list laid out as shared, bridged, direct.  The blocks may be
-    signed Paulis or GF(2) rows."""
+    sequences of signed Paulis or GF(2) row matrices."""
     b = len(bridged_tgt)
     seen_in: set[int] = set()
     for kind, i in order:
@@ -580,20 +502,27 @@ def _walk_steps(
 def build_path(dec: Decomposition) -> ConversionPath:
     """Emit the exchange sequence and every intermediate code.
 
-    Every step is checked for adjacency (the incoming generator must
-    anticommute with the one it replaces and commute with all others);
-    the first and last generator lists must equal the padded source and
-    target as signed groups.  Violations raise AdjacencyViolationError
-    since they indicate an upstream bug rather than bad input.
+    Each generator takes its sign from the group it lies in (the source
+    for the shared, bridged and direct rows, the target for the primed
+    ones); bridges get +1.  Every step is checked for adjacency (the
+    incoming generator must anticommute with the one it replaces and
+    commute with all others); the first and last generator lists must
+    equal the padded source and target as signed groups.  Violations
+    raise AdjacencyViolationError since they indicate an upstream bug
+    rather than bad input.
     """
     a, b, c = dec.counts()
     if b and dec.bridges is None:
         raise ValueError("decomposition has bridged pairs but no bridges; run solve_bridges")
-    gens: list[PauliOp] = list(dec.shared) + list(dec.bridged_src) + list(dec.direct_src)
+    gens = pauli.group_elements(dec.source, np.vstack([dec.shared, dec.bridged_src, dec.direct_src]))
+    incoming_tgt = pauli.group_elements(dec.target, np.vstack([dec.bridged_tgt, dec.direct_tgt]))
+    if any(op is None for op in gens + incoming_tgt):
+        raise AdjacencyViolationError("a decomposition row is outside its group")
+    bridges = [PauliOp.from_vector(v) for v in dec.bridges] if b else []
     start = StabilizerCode(dec.padded_n, tuple(gens))
     order = dec.step_order if dec.step_order is not None else canonical_step_order(dec)
     steps: list[ConversionStep] = []
-    for idx, incoming in _exchanges(order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt):
+    for idx, incoming in _exchanges(order, a, bridges, incoming_tgt[:b], incoming_tgt[b:]):
         steps.append(ConversionStep(measure=incoming, correct=gens[idx], replaced_index=idx))
         gens[idx] = incoming
     return ConversionPath(
@@ -628,17 +557,17 @@ class DrawScreen:
         g = dec.source.generator_matrix
         errs = analysis.error_vectors(dec.padded_n, d - 1)
         return cls(
-            errors=gf2.commuting_rows(BlockRows.of(dec).shared, errs),
+            errors=gf2.commuting_rows(dec.shared, errs),
             logicals=gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g))),
             order=canonical_step_order(dec),
         )
 
-    def first_failure(self, rows: BlockRows) -> tuple[int, PauliOp] | None:
+    def first_failure(self, dec: Decomposition) -> tuple[int, PauliOp] | None:
         """(failing index, witness) as verify_path reports them for the path
-        these rows build, or None if every intermediate passes."""
-        a = len(rows.shared)
-        steps = list(_exchanges(self.order, a, rows.bridges, rows.bridged_tgt, rows.direct_tgt))
-        gens = np.vstack([rows.bridged_src, rows.direct_src, *(inc for _, inc in steps)])
+        dec builds, or None if every intermediate passes."""
+        a = len(dec.shared)
+        steps = list(_exchanges(self.order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt))
+        gens = np.vstack([dec.bridged_src, dec.direct_src, *(inc for _, inc in steps)])
         syn = gf2.symplectic_products(gens, self.errors)
         live = len(gens) - len(steps)
         cur, cur_syn = gens[:live].copy(), syn[:live].copy()
@@ -688,8 +617,8 @@ def search(
 
     Retry r randomizes with its own child generator, so results are
     reproducible and independent of how many retries earlier runs used.
-    Each draw is screened on GF(2) rows; only the draw that passes is
-    built with signs and adjacency checks and re-verified by
+    Each draw is screened on its GF(2) rows; only the draw that passes
+    is built, with signs and adjacency checks, and re-verified by
     verify_path.  Raises SearchExhaustedError after max_retries
     failures, reporting the best (largest) witness weight observed among
     first-failing intermediates.
@@ -699,17 +628,15 @@ def search(
     padded_src, padded_tgt = pad(source, target, config.m)
     ancilla = ancilla_qubits_for(source, target, config.m)
     base = decompose(padded_src, padded_tgt, m=config.m, ancilla_qubits=ancilla)
-    rows = BlockRows.of(base)
     screen = DrawScreen.of(base, config.min_distance)
     rejections: list[Rejection] = []
     best: int | None = None
     for retry in range(config.max_retries):
         rng = child_rng(config.seed, retry)
-        draw = randomize_rows(rows, rng)
-        mixed = solve_bridge_rows(draw.rows, rng, config.bridge_weight_samples)
-        failure = screen.first_failure(mixed)
+        dec = solve_bridges(randomize(base, rng), rng, config.bridge_weight_samples)
+        failure = screen.first_failure(dec)
         if failure is None:
-            path = build_path(_signed(base, draw, mixed.bridges))
+            path = build_path(dec)
             if not analysis.verify_path(path, config.min_distance).ok:
                 raise AdjacencyViolationError("verify_path rejects the draw that passed the row screen")
             return SearchResult(
@@ -734,40 +661,29 @@ def _validate_fixture(dec: Decomposition) -> None:
         raise FixtureInvalidError(
             f"shared block has {len(dec.shared)} rows but the group intersection has dimension {inter_dim}"
         )
-    for op in dec.shared:
-        for code in (dec.source, dec.target):
-            member = pauli.in_group(code, op)
-            if not (member.in_group and member.sign_match):
-                raise FixtureInvalidError(f"shared row {op} is not in both groups")
-    for ops, code, label in (
-        (dec.bridged_src, dec.source, "bridged"),
-        (dec.direct_src, dec.source, "direct"),
-        (dec.bridged_tgt, dec.target, "bridged'"),
-        (dec.direct_tgt, dec.target, "direct'"),
+    # bridged rows must normalize the opposite group
+    for rows, other, label in (
+        (dec.bridged_src, tgt_mat, "bridged row {} does not normalize the target group"),
+        (dec.bridged_tgt, src_mat, "bridged' row {} does not normalize the source group"),
     ):
-        for op in ops:
-            member = pauli.in_group(code, op)
-            if not (member.in_group and member.sign_match):
-                raise FixtureInvalidError(f"{label} row {op} is not in its group")
-    # bridged rows must normalize the opposite group, direct rows must not
-    for op in dec.bridged_src:
-        if pauli.syndrome(dec.target, op).any():
-            raise FixtureInvalidError(f"bridged row {op} does not normalize the target group")
-    for op in dec.bridged_tgt:
-        if pauli.syndrome(dec.source, op).any():
-            raise FixtureInvalidError(f"bridged' row {op} does not normalize the source group")
+        for v, syn in zip(rows, gf2.symplectic_products(rows, other)):
+            if syn.any():
+                raise FixtureInvalidError(label.format(PauliOp.from_vector(v)))
     c = len(dec.direct_src)
     if len(dec.direct_tgt) != c or len(dec.bridged_src) != len(dec.bridged_tgt):
         raise FixtureInvalidError("block sizes differ between the two columns")
-    rows = BlockRows.of(dec)
-    if not np.array_equal(gf2.symplectic_products(rows.direct_tgt, rows.direct_src), gf2.identity(c)):
+    if not np.array_equal(gf2.symplectic_products(dec.direct_tgt, dec.direct_src), gf2.identity(c)):
         raise FixtureInvalidError("printed direct blocks do not pair to the identity")
     if len(dec.bridges) != len(dec.bridged_src):
         raise FixtureInvalidError("fixture needs exactly one bridge per bridged pair")
     for i, br in enumerate(dec.bridges):
-        mat, rhs = _bridge_system(rows, i, rows.bridges[:i])
-        if not np.array_equal(gf2.symplectic_products(mat, br.vector)[:, 0], rhs):
-            raise FixtureInvalidError(f"bridge {br} violates its constraint system")
+        mat, rhs = _bridge_system(dec, i, dec.bridges[:i])
+        if not np.array_equal(gf2.symplectic_products(mat, br)[:, 0], rhs):
+            raise FixtureInvalidError(f"bridge {PauliOp.from_vector(br)} violates its constraint system")
+
+
+def _rows(ops: Sequence[PauliOp], n: int) -> np.ndarray:
+    return np.array([op.vector for op in ops], dtype=np.uint8).reshape(len(ops), 2 * n)
 
 
 def load_fixture_decomposition(text: str) -> Decomposition:
@@ -776,9 +692,10 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     Grammar: '#' comments; 'm = INT'; 'sizes = N1 N2' (original qubit
     counts); 'bridge = PAULI' lines, one per bridged pair in order; and
     row lines 'KIND LEFT RIGHT' with KIND in {A, B, C} giving one
-    generator of each padded code.  Rows are taken verbatim (signs and
-    order included) and the conversion follows the printed top-to-bottom
-    order, a bridged pair resolving in place via its bridge.
+    generator of each padded code.  Rows are taken verbatim (order
+    included; each printed sign must be the one its group gives the row)
+    and the conversion follows the printed top-to-bottom order, a bridged
+    pair resolving in place via its bridge.  Bridges carry no sign.
     """
     m = 0
     sizes: tuple[int, int] | None = None
@@ -822,11 +739,19 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     for kind, ls, rs in rows:
         if kind == "A" and PauliOp.from_string(ls) != PauliOp.from_string(rs):
             raise FixtureInvalidError(f"shared row differs between columns: {ls} vs {rs}")
-    shared = tuple(op for (kind, _, _), op in zip(rows, left) if kind == "A")
-    bridged_src = tuple(op for (kind, _, _), op in zip(rows, left) if kind == "B")
-    bridged_tgt = tuple(op for (kind, _, _), op in zip(rows, right) if kind == "B")
-    direct_src = tuple(op for (kind, _, _), op in zip(rows, left) if kind == "C")
-    direct_tgt = tuple(op for (kind, _, _), op in zip(rows, right) if kind == "C")
+    # the blocks keep rows only, so the printed signs are checked here; a
+    # shared row equals its right-hand copy and so is checked in both groups
+    for ops, code in ((left, source), (right, target)):
+        for op, elem in zip(ops, pauli.group_elements(code, _rows(ops, n))):
+            if elem != op:
+                raise FixtureInvalidError(f"row {op} is not in its group with that sign")
+    for op in bridges:
+        if op.sign != +1:
+            raise FixtureInvalidError(f"bridge {op} carries a sign; bridges are taken with sign +1")
+
+    def block(kind: str, column: list[PauliOp]) -> np.ndarray:
+        return _rows([op for (k, _, _), op in zip(rows, column) if k == kind], n)
+
     order: list[tuple[str, int]] = []
     bi = ci = 0
     for kind, _, _ in rows:
@@ -842,12 +767,12 @@ def load_fixture_decomposition(text: str) -> Decomposition:
         target=target,
         m=m,
         ancilla_qubits=_ancilla_qubits(*sizes, m),
-        shared=shared,
-        bridged_src=bridged_src,
-        bridged_tgt=bridged_tgt,
-        direct_src=direct_src,
-        direct_tgt=direct_tgt,
-        bridges=bridges,
+        shared=block("A", left),
+        bridged_src=block("B", left),
+        bridged_tgt=block("B", right),
+        direct_src=block("C", left),
+        direct_tgt=block("C", right),
+        bridges=_rows(bridges, n),
         step_order=tuple(order),
     )
     _validate_fixture(dec)

@@ -454,28 +454,20 @@ def inject_and_check(path, error_weight_cap: int, tableau_check: bool = True) ->
     With tableau_check the simulator's extracted syndrome is also compared
     against the algebraic syndrome map for every injected error.
     """
-    n = path.n
-    errors = [
-        PauliOp.from_vector(v) for v in analysis.error_vectors(n, error_weight_cap)
-    ]
+    vectors = analysis.error_vectors(path.n, error_weight_cap)
+    errors = [PauliOp.from_vector(v) for v in vectors]
     failures = []
     mismatches = 0
-    checked = 0
     for idx, code in enumerate(path.intermediates):
-        extractor = None
+        failures += [(idx, errors[i]) for i in np.nonzero(analysis.undetectable(code, vectors))[0]]
         if tableau_check:
-            t = encode(code, logical_frame(code), "+Z")
-            extractor = _SyndromeExtractor(t, code)
-        for e in errors:
-            checked += 1
-            if not analysis.detectable(code, e):
-                failures.append((idx, e))
-            if extractor is not None:
+            extractor = _SyndromeExtractor(encode(code, logical_frame(code), "+Z"), code)
+            for e in errors:
                 if not np.array_equal(extractor.extract(e), pauli.syndrome(code, e)):
                     mismatches += 1
     return InjectionReport(
         ok=not failures and mismatches == 0,
         failures=tuple(failures),
-        errors_checked=checked,
+        errors_checked=len(errors) * len(path.intermediates),
         syndrome_mismatches=mismatches,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stabswitch import fixtures, gf2, rewiring
+from stabswitch import analysis, fixtures, gf2, rewiring
 from stabswitch.catalog import PERFECT5, SHOR9, STEANE7
 from stabswitch.pauli import PauliOp
 
@@ -35,6 +35,53 @@ def naive_distance(code, cap=None) -> int:
         w = int((v[: code.n] | v[code.n :]).sum())
         best = w if best is None else min(best, w)
     return best
+
+
+def old_first_logical(code, errs):
+    """First zero-syndrome row of errs outside the group, one rank test per
+    error: the per-error loop behind verify_path and code_distance before
+    they batched the membership test."""
+    g = code.generator_matrix
+    for v in gf2.commuting_rows(g, errs):
+        if not gf2.in_rowspace(g, v):
+            return v
+    return None
+
+
+def old_verify_path(path, d):
+    """(failing index, witness) of the first intermediate with a logical
+    of weight < d, or (None, None), by the per-error loop."""
+    errs = analysis.error_vectors(path.n, d - 1)
+    for idx, code in enumerate(path.intermediates):
+        hit = old_first_logical(code, errs)
+        if hit is not None:
+            return idx, PauliOp.from_vector(hit)
+    return None, None
+
+
+def old_code_distance(code, cap):
+    """(distance, exact, witness) by the per-error loop."""
+    for w in range(1, min(cap, code.n) + 1):
+        hit = old_first_logical(code, analysis._errors_at_weight(code.n, w))
+        if hit is not None:
+            return w, True, PauliOp.from_vector(hit)
+    return min(cap, code.n) + 1, False, None
+
+
+def old_step_subsystem_distance(pre_code, step):
+    """Dressed distance of a step, one affine solve per quiet error."""
+    idx = step.replaced_index
+    rest = np.delete(pre_code.generator_matrix, idx, axis=0)
+    gauge = np.vstack([rest, step.correct.vector, step.measure.vector])
+    for w in range(1, pre_code.n + 1):
+        for v in gf2.commuting_rows(rest, analysis._errors_at_weight(pre_code.n, w)):
+            try:
+                coeff, _ = gf2.solve_affine(gauge.T, v)
+            except gf2.InconsistentSystemError:
+                return w
+            if coeff[-1] and coeff[-2]:
+                return w
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import naive_distance
-from stabswitch import analysis, pauli, rewiring
+from conftest import naive_distance, old_code_distance, old_step_subsystem_distance, old_verify_path
+from stabswitch import analysis, catalog, gf2, pauli, rewiring
 from stabswitch.analysis import ErrorClass
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -81,6 +81,61 @@ class TestVerifyPath:
                 assert analysis.detectable(code, PauliOp.from_vector(v))
 
 
+@pytest.fixture(scope="module")
+def checked_paths(table_paths, searched_steane_to_five, steane7, perfect5, shor9):
+    """The three fixtures, four searched paths and one path that loses
+    distance (the unmixed (34) pair at m=0)."""
+    st34 = catalog.perm(steane7, "(34)")
+    paths = list(table_paths.values()) + [searched_steane_to_five.path]
+    for src, tgt, m, seed in ((perfect5, steane7, 0, 5), (st34, shor9, 0, 77), (steane7, st34, 2, 3)):
+        cfg = rewiring.RewiringConfig(m=m, seed=seed, max_retries=20000, min_distance=3)
+        paths.append(rewiring.search(src, tgt, cfg).path)
+    paths.append(rewiring.build_path(rewiring.decompose(*rewiring.pad(steane7, st34, 0))))
+    return paths
+
+
+class TestBatchedMembershipMatchesPerErrorLoops:
+    """verify_path, code_distance and step_subsystem_distance test all the
+    quiet errors of a weight at once; the per-error loops they replaced
+    must give the same reports."""
+
+    def test_verify_path(self, checked_paths):
+        failures = 0
+        for path in checked_paths:
+            for cap in (1, 2, 3):
+                report = analysis.verify_path(path, cap + 1)
+                want_index, want_witness = old_verify_path(path, cap + 1)
+                assert (report.failing_index, report.witness) == (want_index, want_witness)
+                assert report.ok == (want_witness is None)
+                failures += not report.ok
+        assert failures > 0
+
+    def test_code_distance(self, checked_paths):
+        for path in checked_paths:
+            for code in path.intermediates:
+                for cap in (1, 2, 3):
+                    rep = analysis.code_distance(code, cap)
+                    assert (rep.distance, rep.exact, rep.witness) == old_code_distance(code, cap)
+
+    def test_undetectable_mask(self, checked_paths):
+        hidden = 0
+        for path in checked_paths:
+            errs = analysis.error_vectors(path.n, 2)
+            for code in path.intermediates:
+                mask = analysis.undetectable(code, errs)
+                g = code.generator_matrix
+                want = [not gf2.symplectic_products(g, v).any() and not gf2.in_rowspace(g, v) for v in errs]
+                assert mask.tolist() == want
+                hidden += int(mask.sum())
+        assert hidden > 0
+
+    def test_step_subsystem_distance(self, checked_paths):
+        for path in checked_paths:
+            for i, step in enumerate(path.steps):
+                pre = path.intermediates[i]
+                assert analysis.step_subsystem_distance(pre, step) == old_step_subsystem_distance(pre, step)
+
+
 class TestDetectable:
     def test_group_member(self, steane7):
         assert analysis.detectable(steane7, steane7.gens[3])
@@ -94,7 +149,7 @@ class TestClassifyError:
     def test_shared_generator(self, table_decompositions):
         dec = table_decompositions["table1"]
         assert (
-            analysis.classify_error(dec.shared[0], dec.source, dec.target)
+            analysis.classify_error(PauliOp.from_vector(dec.shared[0]), dec.source, dec.target)
             == ErrorClass.IN_BOTH_GROUPS
         )
 
@@ -129,7 +184,7 @@ class TestClassifyError:
         for name in ("table1", "table3"):
             dec = table_decompositions[name]
             path = table_paths[name]
-            e = pauli.product([op for op in dec.shared], n=dec.padded_n)
+            e = PauliOp.from_vector(dec.shared.sum(axis=0) % 2)
             for code in path.intermediates:
                 assert analysis.detectable(code, e)
                 assert pauli.in_group(code, e).in_group

@@ -137,6 +137,16 @@ class TestVerify:
 
 
 class TestSimulate:
+    def test_bad_metadata_is_data_error(self, written_path, tmp_path, capsys):
+        # each of these once crashed simulate with a traceback or loaded silently
+        for key, value in (("ancilla_qubits", [99]), ("ancilla_qubits", ["x"]), ("n", 3), ("m", -5)):
+            doc = json.loads(written_path.read_text())
+            doc[key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert run("simulate", str(bad), "--trials", "1") == cli.EXIT_DATA
+            assert "malformed path file" in capsys.readouterr().err
+
     def test_trials_pass(self, written_path, capsys):
         assert run("simulate", str(written_path), "--trials", "3", "--seed", "9") == cli.EXIT_OK
         assert "6/6 trials" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion as its own process."""
+"""Every demo script, and the README's library tour, runs to completion as
+its own process."""
 
 import os
 import subprocess
@@ -9,8 +10,14 @@ import pytest
 
 import stabswitch
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SRC = str(Path(stabswitch.__file__).resolve().parents[1])
+
+
+def run_python(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_all_five_demos_are_collected():
@@ -19,8 +26,14 @@ def test_all_five_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "rewiring.search" in tour
+    proc = run_python(["-c", tour], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "multi-qubit gates" in proc.stdout

@@ -68,7 +68,7 @@ class TestInvert:
     def test_random_inverse_property(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            m = gf2.random_gl(8, rng)
+            m = gf2.random_gl(8, rng)[0]
             minv = gf2.invert(m)
             assert np.array_equal((m @ minv) % 2, gf2.identity(8))
             assert np.array_equal((minv @ m) % 2, gf2.identity(8))
@@ -159,6 +159,42 @@ class TestSolveAffine:
         assert 100 < inconsistent < 1100
 
 
+class TestSpanCoefficients:
+    def test_matches_per_row_solve(self):
+        """1,200 seeded independent bases (one in ten empty), each with
+        members, random rows (mostly outside) and a zero row, against one
+        solve_affine per row."""
+        rng = np.random.default_rng(21)
+        seen = {"empty basis": 0, "zero row": 0, "member": 0, "outside": 0}
+        for trial in range(1200):
+            cols = int(rng.integers(1, 13))
+            r = 0 if trial % 10 == 0 else int(rng.integers(0, cols + 1))
+            basis = gf2.random_gl(cols, rng)[0][:r]
+            members = gf2.random_matrix(3, r, rng) @ basis % 2
+            rows = np.vstack([members, gf2.random_matrix(3, cols, rng), gf2.zeros((1, cols))])
+            coeffs, inside = gf2.span_coefficients(basis, rows)
+            assert coeffs.shape == (len(rows), r) and inside.shape == (len(rows),)
+            seen["empty basis"] += r == 0
+            for v, c, ok in zip(rows, coeffs, inside):
+                try:
+                    x0, _ = gf2.solve_affine(basis.T, v)
+                except gf2.InconsistentSystemError:
+                    assert not ok
+                    seen["outside"] += 1
+                    continue
+                assert ok and np.array_equal(c, x0)
+                seen["zero row" if not v.any() else "member"] += 1
+        assert min(seen.values()) >= 100
+
+    def test_no_rows(self):
+        coeffs, inside = gf2.span_coefficients(gf2.identity(3), gf2.zeros((0, 3)))
+        assert coeffs.shape == (0, 3) and inside.shape == (0,)
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(gf2.NotIndependentError):
+            gf2.span_coefficients(np.array([[1, 1], [1, 1]], dtype=np.uint8), gf2.zeros(2))
+
+
 class TestCommutingRows:
     def test_matches_per_row_products(self):
         rng = np.random.default_rng(21)
@@ -242,19 +278,33 @@ class TestIntersectRowspaces:
 
 class TestRandomGl:
     def test_dim_zero(self):
-        assert gf2.random_gl(0, np.random.default_rng(0)).shape == (0, 0)
+        m, inv = gf2.random_gl(0, np.random.default_rng(0))
+        assert m.shape == inv.shape == (0, 0)
 
     def test_dim_one(self):
         for seed in range(5):
-            assert np.array_equal(
-                gf2.random_gl(1, np.random.default_rng(seed)), np.array([[1]], dtype=np.uint8)
-            )
+            for mat in gf2.random_gl(1, np.random.default_rng(seed)):
+                assert np.array_equal(mat, np.array([[1]], dtype=np.uint8))
 
     def test_always_invertible(self):
         rng = np.random.default_rng(7)
         for dim in (2, 3, 5, 8):
             for _ in range(20):
-                gf2.invert(gf2.random_gl(dim, rng))
+                m, inv = gf2.random_gl(dim, rng)
+                assert np.array_equal(inv, gf2.invert(m))
+
+    def test_draws_match_rank_rejection(self):
+        """The rng draws are those of plain rejection on rank, so seeded
+        searches stay bit for bit."""
+        for dim in (0, 1, 2, 3, 6):
+            rng, oracle = np.random.default_rng(dim), np.random.default_rng(dim)
+            for _ in range(50):
+                while True:
+                    want = gf2.random_matrix(dim, dim, oracle)
+                    if gf2.rank(want) == dim:
+                        break
+                assert np.array_equal(gf2.random_gl(dim, rng)[0], want)
+            assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_uniformity_chi_square(self):
         # GL(F2, 2) has 6 elements; chi-square over 60000 draws at the
@@ -264,7 +314,7 @@ class TestRandomGl:
         counts: dict[bytes, int] = {}
         n = 60_000
         for _ in range(n):
-            counts_key = gf2.random_gl(2, rng).tobytes()
+            counts_key = gf2.random_gl(2, rng)[0].tobytes()
             counts[counts_key] = counts.get(counts_key, 0) + 1
         assert len(counts) == 6
         expected = n / 6

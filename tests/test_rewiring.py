@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import old_verify_path
 from stabswitch import analysis, catalog, fixtures, gf2, pauli, rewiring
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -36,8 +37,8 @@ def swap_decomposition(dec: rewiring.Decomposition) -> rewiring.Decomposition:
         ancilla_qubits=(),
         bridged_src=dec.bridged_tgt,
         bridged_tgt=dec.bridged_src,
-        direct_src=tuple(reversed(dec.direct_tgt)),
-        direct_tgt=tuple(reversed(dec.direct_src)),
+        direct_src=dec.direct_tgt[::-1],
+        direct_tgt=dec.direct_src[::-1],
         step_order=order,
     )
 
@@ -84,8 +85,7 @@ class TestDecompose:
         dec = rewiring.decompose(steane7, steane7)
         a, b, c = dec.counts()
         assert (a, b, c) == (6, 0, 0)
-        span = np.array([op.vector for op in dec.shared], dtype=np.uint8)
-        assert gf2.rank(np.vstack([span, steane7.generator_matrix])) == 6
+        assert gf2.rank(np.vstack([dec.shared, steane7.generator_matrix])) == 6
 
     def test_table1_block_sizes(self, table_decompositions):
         dec = rewiring.decompose(
@@ -102,19 +102,21 @@ class TestDecompose:
     def test_pairing_matrix_is_identity(self, steane7, perfect5):
         pa, pb = rewiring.pad(steane7, perfect5, 0)
         dec = rewiring.decompose(pa, pb)
-        src = np.array([op.vector for op in dec.direct_src], dtype=np.uint8)
-        tgt = np.array([op.vector for op in dec.direct_tgt], dtype=np.uint8)
-        assert np.array_equal(gf2.symplectic_products(tgt, src), gf2.identity(len(src)))
+        assert np.array_equal(
+            gf2.symplectic_products(dec.direct_tgt, dec.direct_src), gf2.identity(len(dec.direct_src))
+        )
 
     def test_all_blocks_carry_group_signs(self, steane7, perfect5):
+        # every row lies in its group, which fixes its sign, and a shared
+        # row has the same sign in both groups
         pa, pb = rewiring.pad(steane7, perfect5, 1)
         dec = rewiring.decompose(pa, pb)
-        for op in dec.shared + dec.bridged_src + dec.direct_src:
-            member = pauli.in_group(pa, op)
-            assert member.in_group and member.sign_match
-        for op in dec.shared + dec.bridged_tgt + dec.direct_tgt:
-            member = pauli.in_group(pb, op)
-            assert member.in_group and member.sign_match
+        for code, rows in (
+            (pa, np.vstack([dec.shared, dec.bridged_src, dec.direct_src])),
+            (pb, np.vstack([dec.shared, dec.bridged_tgt, dec.direct_tgt])),
+        ):
+            assert all(op is not None for op in _oracle_sign(code, rows))
+        assert _oracle_sign(pa, dec.shared) == _oracle_sign(pb, dec.shared)
 
     def test_sign_mismatch_detected(self):
         plus = StabilizerCode.from_strings(["ZZ", "XX"])
@@ -124,24 +126,15 @@ class TestDecompose:
 
 
 class TestRandomize:
-    def test_identity_mix_is_noop(self, steane7, perfect5):
-        pa, pb = rewiring.pad(steane7, perfect5, 0)
-        dec = rewiring.decompose(pa, pb)
-        c, b = len(dec.direct_src), len(dec.bridged_src)
-        same = rewiring._mix(gf2.zeros((c, b)), gf2.identity(c), dec.bridged_src, dec.direct_src, dec.padded_n)
-        assert same == dec.direct_src
-
     def test_pairing_preserved_and_groups_unchanged(self, steane7, perfect5):
         pa, pb = rewiring.pad(steane7, perfect5, 1)
         dec = rewiring.decompose(pa, pb)
         for seed in range(5):
             mixed = rewiring.randomize(dec, np.random.default_rng(seed))
-            for op in mixed.direct_src:
-                member = pauli.in_group(pa, op)
-                assert member.in_group and member.sign_match
-            for op in mixed.direct_tgt:
-                member = pauli.in_group(pb, op)
-                assert member.in_group and member.sign_match
+            c = len(mixed.direct_src)
+            assert np.array_equal(gf2.symplectic_products(mixed.direct_tgt, mixed.direct_src), gf2.identity(c))
+            assert all(op is not None for op in _oracle_sign(pa, mixed.direct_src))
+            assert all(op is not None for op in _oracle_sign(pb, mixed.direct_tgt))
 
 
 class TestSolveBridges:
@@ -150,20 +143,23 @@ class TestSolveBridges:
             table_decompositions["table1"].source, table_decompositions["table1"].target
         )
         out = rewiring.solve_bridges(dec)
-        assert out.bridges == ()
+        assert out.bridges.shape == (0, 2 * dec.padded_n)
 
     def bridge_constraints_hold(self, dec):
+        def commutes(v, w):
+            return gf2.symplectic_product(v, w) == 0
+
         for i, bridge in enumerate(dec.bridges):
-            for op in dec.shared + dec.direct_src + dec.direct_tgt:
-                assert bridge.commutes(op)
+            for row in np.vstack([dec.shared, dec.direct_src, dec.direct_tgt]):
+                assert commutes(bridge, row)
             for j in range(len(dec.bridged_src)):
                 src, tgt = dec.bridged_src[j], dec.bridged_tgt[j]
                 if j > i:
-                    assert bridge.commutes(src) and bridge.commutes(tgt)
+                    assert commutes(bridge, src) and commutes(bridge, tgt)
                 elif j == i:
-                    assert not bridge.commutes(src) and not bridge.commutes(tgt)
+                    assert not commutes(bridge, src) and not commutes(bridge, tgt)
             for j in range(i):
-                assert bridge.commutes(dec.bridges[j])
+                assert commutes(bridge, dec.bridges[j])
 
     def test_constraint_oracle(self, steane7, perfect5):
         pa, pb = rewiring.pad(steane7, perfect5, 0)
@@ -180,7 +176,7 @@ class TestSolveBridges:
         plain = rewiring.solve_bridges(dec)
         light = rewiring.solve_bridges(dec, np.random.default_rng(4), weight_samples=64)
         self.bridge_constraints_hold(light)
-        assert light.bridges[0].weight <= plain.bridges[0].weight
+        assert PauliOp.from_vector(light.bridges[0]).weight <= PauliOp.from_vector(plain.bridges[0]).weight
 
 
 class TestBuildPath:
@@ -332,21 +328,71 @@ def test_pinned_rejections(steane7):
     assert err.value.best_distance_floor == 2
 
 
+def _oracle_sign(code, rows):
+    """The signed group element of each row, one solve per row (None for a
+    row outside the group): how the signed decomposition got its signs."""
+    out = []
+    for v in rows:
+        try:
+            coeff, _ = gf2.solve_affine(code.generator_matrix.T, v)
+        except gf2.InconsistentSystemError:
+            out.append(None)
+        else:
+            out.append(pauli.product((code.gens[i] for i in np.nonzero(coeff)[0]), n=code.n))
+    return tuple(out)
+
+
+@dataclasses.dataclass(frozen=True)
+class _SignedBlocks:
+    """The signed decomposition the row-only one replaced."""
+
+    source: StabilizerCode
+    target: StabilizerCode
+    m: int
+    ancilla_qubits: tuple
+    shared: tuple
+    bridged_src: tuple
+    bridged_tgt: tuple
+    direct_src: tuple
+    direct_tgt: tuple
+    bridges: tuple | None = None
+
+
+def _oracle_decompose(source, target, m):
+    pa, pb = rewiring.pad(source, target, m)
+    ga, gb, gc, gbp, gcp = rewiring.subspace_bases(pa.generator_matrix, pb.generator_matrix)
+    return _SignedBlocks(
+        pa, pb, m, rewiring.ancilla_qubits_for(source, target, m),
+        _oracle_sign(pa, ga), _oracle_sign(pa, gb), _oracle_sign(pb, gbp), _oracle_sign(pa, gc), _oracle_sign(pb, gcp),
+    )
+
+
+def _mix(coeff_bridged, coeff_direct, bridged, direct, n):
+    """Rows of products selected by two coefficient matrices (sign-exact)."""
+    out = []
+    for rb, rc in zip(coeff_bridged, coeff_direct):
+        factors = [bridged[j] for j in np.nonzero(rb)[0]]
+        factors += [direct[j] for j in np.nonzero(rc)[0]]
+        out.append(pauli.product(factors, n=n))
+    return tuple(out)
+
+
 def _oracle_randomize(dec, rng):
     """The signed randomization the row draw replaced."""
-    a, b, c = dec.counts()
+    b, c = len(dec.bridged_src), len(dec.direct_src)
+    n = dec.source.n
     v = gf2.random_matrix(c, b, rng)
     vp = gf2.random_matrix(c, b, rng)
-    u = gf2.random_gl(c, rng)
+    u = gf2.random_gl(c, rng)[0]
     uit = gf2.invert(u).T
-    new_src = rewiring._mix((u @ v) % 2, u, dec.bridged_src, dec.direct_src, dec.padded_n)
-    new_tgt = rewiring._mix((uit @ vp) % 2, uit, dec.bridged_tgt, dec.direct_tgt, dec.padded_n)
+    new_src = _mix((u @ v) % 2, u, dec.bridged_src, dec.direct_src, n)
+    new_tgt = _mix((uit @ vp) % 2, uit, dec.bridged_tgt, dec.direct_tgt, n)
     return dataclasses.replace(dec, direct_src=new_src, direct_tgt=new_tgt, bridges=None)
 
 
 def _oracle_solve_bridges(dec, rng, weight_samples):
     """The signed bridge solve the row solve replaced."""
-    n = dec.padded_n
+    n = dec.source.n
     solved = []
     for i in range(len(dec.bridged_src)):
         rows = [op.vector for op in dec.shared + dec.direct_src + dec.direct_tgt]
@@ -371,23 +417,40 @@ def _oracle_solve_bridges(dec, rng, weight_samples):
     return dataclasses.replace(dec, bridges=tuple(solved))
 
 
+def _oracle_build(dec):
+    """The signed exchange sequence in canonical order (bridged pairs move
+    to their bridges, the direct block swaps over, the bridges resolve in
+    reverse), built with the signs the blocks carry."""
+    a, b, c = len(dec.shared), len(dec.bridged_src), len(dec.direct_src)
+    n = dec.source.n
+    gens = list(dec.shared + dec.bridged_src + dec.direct_src)
+    codes, steps = [StabilizerCode(n, tuple(gens))], []
+    moves = [(a + i, dec.bridges[i]) for i in range(b)]
+    moves += [(a + b + i, dec.direct_tgt[i]) for i in range(c)]
+    moves += [(a + i, dec.bridged_tgt[i]) for i in reversed(range(b))]
+    for idx, op in moves:
+        steps.append(rewiring.ConversionStep(measure=op, correct=gens[idx], replaced_index=idx))
+        gens[idx] = op
+        codes.append(StabilizerCode(n, tuple(gens)))
+    return rewiring.ConversionPath(dec.source, dec.target, tuple(steps), tuple(codes), dec.ancilla_qubits, dec.m)
+
+
 def _oracle_search(source, target, cfg):
-    """Signed path and verify_path on every draw: the loop search replaced.
-    Returns (rejections, retries used or None, best floor, path JSON)."""
-    pa, pb = rewiring.pad(source, target, cfg.m)
-    base = rewiring.decompose(pa, pb, m=cfg.m, ancilla_qubits=rewiring.ancilla_qubits_for(source, target, cfg.m))
+    """Signed path and the per-error distance loop on every draw: the loop
+    search replaced.  Returns (rejections, retries used or None, best
+    floor, path JSON)."""
+    base = _oracle_decompose(source, target, cfg.m)
     rejections, best = [], None
     for retry in range(cfg.max_retries):
         rng = rewiring.child_rng(cfg.seed, retry)
         dec = _oracle_solve_bridges(_oracle_randomize(base, rng), rng, cfg.bridge_weight_samples)
-        path = rewiring.build_path(dec)
-        report = analysis.verify_path(path, cfg.min_distance)
-        if report.ok:
+        path = _oracle_build(dec)
+        failing_index, witness = old_verify_path(path, cfg.min_distance)
+        if witness is None:
             doc = dataclasses.replace(path, seed=cfg.seed).to_json()
             return rejections, retry + 1, best, json.dumps(doc)
-        rejections.append((retry, report.failing_index, report.witness.to_string()))
-        found = report.reports[report.failing_index].distance
-        best = found if best is None else max(best, found)
+        rejections.append((retry, failing_index, witness.to_string()))
+        best = witness.weight if best is None else max(best, witness.weight)
     return rejections, None, best, None
 
 
@@ -435,11 +498,13 @@ def test_search_matches_signed_oracle(src, tgt, m, samples):
 
 def _direct_mix_from_u(dec, u):
     """Deterministic remix of the direct blocks by an explicit invertible u."""
-    c = len(dec.direct_src)
     uit = gf2.invert(u).T
-    new_src = rewiring._mix(gf2.zeros((c, 0)), u, (), dec.direct_src, dec.padded_n)
-    new_tgt = rewiring._mix(gf2.zeros((c, 0)), uit, (), dec.direct_tgt, dec.padded_n)
-    return dataclasses.replace(dec, direct_src=new_src, direct_tgt=new_tgt, bridges=())
+    return dataclasses.replace(
+        dec,
+        direct_src=u @ dec.direct_src % 2,
+        direct_tgt=uit @ dec.direct_tgt % 2,
+        bridges=gf2.zeros((0, 2 * dec.padded_n)),
+    )
 
 
 class TestExhaustiveMinimalAncilla:
@@ -473,17 +538,19 @@ class TestExhaustiveMinimalAncilla:
 class TestFixtures:
     def test_table1_shared_row(self, table_decompositions):
         dec = table_decompositions["table1"]
-        assert [op.to_string() for op in dec.shared] == ["-YXXYIZZ"]
+        assert [op.to_string() for op in pauli.group_elements(dec.source, dec.shared)] == ["-YXXYIZZ"]
         assert dec.counts() == (1, 0, 5)
+        # build_path reads the printed sign back off the group
+        assert rewiring.build_path(dec).intermediates[0].gens[0].to_string() == "-YXXYIZZ"
 
     def test_table2_bridged_pair_and_bridge(self, table_decompositions):
         dec = table_decompositions["table2"]
-        assert [op.to_string() for op in dec.bridged_src] == ["ZZZZIIIZI"]
-        assert [op.to_string() for op in dec.bridged_tgt] == ["ZZIIIIZZI"]
-        assert [op.to_string() for op in dec.bridges] == ["IIIIIIIXX"]
+        assert [PauliOp.from_vector(v).to_string() for v in dec.bridged_src] == ["ZZZZIIIZI"]
+        assert [PauliOp.from_vector(v).to_string() for v in dec.bridged_tgt] == ["ZZIIIIZZI"]
         # the bridge is the product of the two complementary logicals
         prod = PauliOp.from_string("XXXXXXXXX") * PauliOp.from_string("XXXXXXXII")
-        assert dec.bridges[0] == prod
+        assert prod.to_string() == "IIIIIIIXX"
+        assert np.array_equal(dec.bridges, [prod.vector])
 
     def test_table3_shared_rows(self, table_decompositions):
         dec = table_decompositions["table3"]
@@ -493,6 +560,12 @@ class TestFixtures:
     def test_fixture_rejects_corrupt_bridge(self):
         text = fixtures.TABLE2.replace("bridge = IIIIIIIXX", "bridge = XXXXXXXXX")
         with pytest.raises(rewiring.FixtureInvalidError):
+            rewiring.load_fixture_decomposition(text)
+
+    def test_fixture_rejects_signed_bridge(self):
+        # bridges are rows with sign +1; a printed sign would be dropped
+        text = fixtures.TABLE2.replace("bridge = IIIIIIIXX", "bridge = -IIIIIIIXX")
+        with pytest.raises(rewiring.FixtureInvalidError, match="carries a sign"):
             rewiring.load_fixture_decomposition(text)
 
     def test_fixture_rejects_missing_sizes(self):
@@ -567,6 +640,33 @@ class TestPathJson:
             gens[-1] = gens[-1][1:] if gens[-1].startswith("-") else "-" + gens[-1]
 
         assert "target group" in self.tampered(table_paths, edit)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("n", 3, "declared n=3"),
+            ("n", "7", "declared n='7'"),
+            ("m", -5, "m must be an integer >= 0"),
+            ("m", 1.5, "m must be an integer >= 0"),
+            ("m", True, "m must be an integer >= 0"),
+            ("ancilla_qubits", [99], "ancilla_qubits must be distinct integers in 0..6"),
+            ("ancilla_qubits", [-1], "ancilla_qubits must be distinct integers"),
+            ("ancilla_qubits", ["x"], "ancilla_qubits must be distinct integers"),
+            ("ancilla_qubits", [5, 5], "ancilla_qubits must be distinct integers"),
+            ("ancilla_qubits", 5, "ancilla_qubits must be distinct integers"),
+        ],
+    )
+    def test_rejects_bad_metadata(self, table_paths, key, value, message):
+        def edit(doc):
+            doc[key] = value
+
+        assert message in self.tampered(table_paths, edit)
+
+    def test_accepts_valid_metadata(self, table_paths):
+        doc = table_paths["table1"].to_json()
+        doc["m"], doc["ancilla_qubits"] = 2, [6, 0]
+        again = rewiring.ConversionPath.from_json(doc)
+        assert again.m == 2 and again.ancilla_qubits == (6, 0)
 
     def test_schema_keys(self, table_paths):
         doc = table_paths["table3"].to_json()
