@@ -12,6 +12,9 @@ form <v, w> = v^T B w with B the block matrix [[0, I], [I, 0]].
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 import numpy as np
 
 
@@ -67,13 +70,25 @@ def symplectic_product(v, w) -> int:
     return int(v[:n] @ w[n:] + v[n:] @ w[:n]) & 1
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2), as one float32 BLAS product.
+
+    The product is exact: every entry is a sum of at most a.shape[1] ones,
+    and float32 holds every integer below 2^24.  It is reduced through
+    int32, since a float-to-uint8 cast is undefined once a sum passes 255.
+    """
+    prod = a.astype(np.float32) @ b.astype(np.float32)
+    return (prod.astype(np.int32) & 1).astype(np.uint8)
+
+
 def symplectic_products(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise symplectic products: out[i, j] = <rows_i, cols_j>."""
+    """Matrix of pairwise symplectic products: out[i, j] = <rows_i, cols_j>,
+    by one exact `matmul` (2n < 2^24 terms per entry)."""
     rows = np.atleast_2d(asbits(rows))
     cols = np.atleast_2d(asbits(cols))
     if rows.shape[1] != cols.shape[1]:
         raise ValueError("column counts differ")
-    return (swap_xz(rows).astype(np.int64) @ cols.T.astype(np.int64) % 2).astype(np.uint8)
+    return matmul(swap_xz(rows), cols.T)
 
 
 def commuting_rows(ops: np.ndarray, errs: np.ndarray) -> np.ndarray:
@@ -82,17 +97,17 @@ def commuting_rows(ops: np.ndarray, errs: np.ndarray) -> np.ndarray:
     return errs[~symplectic_products(ops, errs).any(axis=0)]
 
 
-def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form and pivot column list."""
-    m = asbits(np.atleast_2d(m))
+def _eliminate(m: np.ndarray) -> Iterator[bool]:
+    """Gauss-Jordan elimination of m in place, column by column from the
+    left; yields whether each column got a pivot, until the rows run out."""
     rows, cols = m.shape
-    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
-            break
+            return
         hit = np.nonzero(m[r:, c])[0]
         if hit.size == 0:
+            yield False
             continue
         p = r + int(hit[0])
         if p != r:
@@ -101,9 +116,14 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         for i in elim:
             if i != r:
                 m[i] ^= m[r]
-        pivots.append(c)
         r += 1
-    return m, pivots
+        yield True
+
+
+def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form and pivot column list."""
+    m = asbits(np.atleast_2d(m))
+    return m, [c for c, hit in enumerate(_eliminate(m)) if hit]
 
 
 def rank(m: np.ndarray) -> int:
@@ -112,11 +132,11 @@ def rank(m: np.ndarray) -> int:
 
 
 def _inverse(m: np.ndarray) -> np.ndarray | None:
-    """Inverse of a square matrix read off one elimination of [m | I], or
-    None when m is singular (some pivot then falls in the right block)."""
+    """Inverse of a square matrix read off the elimination of [m | I], or
+    None as soon as a column of m gets no pivot (m is then singular)."""
     d = m.shape[0]
-    aug, pivots = rref(np.hstack([m, identity(d)]))
-    return aug[:, d:].copy() if pivots == list(range(d)) else None
+    aug = np.hstack([m, identity(d)])
+    return aug[:, d:].copy() if all(itertools.islice(_eliminate(aug), d)) else None
 
 
 def invert(m: np.ndarray) -> np.ndarray:

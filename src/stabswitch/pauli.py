@@ -271,10 +271,7 @@ def syndrome(code: StabilizerCode, e: PauliOp) -> np.ndarray:
     """Commutation bits of e against the code generators (sign of e ignored)."""
     if e.n != code.n:
         raise ValueError(f"operator acts on {e.n} qubits, code on {code.n}")
-    g = code.generator_matrix
-    if g.shape[0] == 0:
-        return gf2.zeros(0)
-    return (gf2.swap_xz(g).astype(np.int64) @ e.vector.astype(np.int64) % 2).astype(np.uint8)
+    return gf2.symplectic_products(code.generator_matrix, e.vector)[:, 0]
 
 
 def group_elements(code: StabilizerCode, rows: np.ndarray) -> list[PauliOp | None]:

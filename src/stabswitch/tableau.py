@@ -14,6 +14,10 @@ target code with its printed signs and that ancilla qubits end
 disentangled.  simulate_trials is the seeded trial loop behind the
 CLI's simulate and reproduce commands: encode a logical eigenstate, run
 the path, and check that the transported logicals still stabilize it.
+inject_and_check is the fault-injection cross-check: per intermediate
+it reads out the simulated syndromes of the whole error list at once,
+with two products against the encoded frame, and compares them with the
+algebraic syndromes.
 """
 
 from __future__ import annotations
@@ -58,27 +62,19 @@ class Tableau:
             raise ValueError(f"need exactly {n} stabilizers, got {len(stabilizers)}")
         code = StabilizerCode(n, tuple(stabilizers))  # validates the set
         s_mat = code.generator_matrix
-        a = gf2.swap_xz(s_mat)
-        destab = []
-        for i in range(n):
-            b = gf2.zeros(n)
-            b[i] = 1
-            d, _ = gf2.solve_affine(a, b)
-            destab.append(d)
-        # make destabilizers mutually commuting: adding stabilizer i fixes
-        # <d_i, d_j> without disturbing the delta pattern
-        for j in range(n):
-            for i in range(j):
-                if gf2.symplectic_product(destab[i], destab[j]) == 1:
-                    destab[j] = (destab[j] + s_mat[i]) % 2
-        x = gf2.zeros((2 * n, n))
-        z = gf2.zeros((2 * n, n))
+        # S has full rank, so every pivot of [swap_xz(S) | I] falls in the
+        # left block and column i of the right block solves <d, s_j> = delta_ij
+        aug, pivots = gf2.rref(np.hstack([gf2.swap_xz(s_mat), gf2.identity(n)]))
+        destab = gf2.zeros((n, 2 * n))
+        destab[:, pivots] = aug[:, 2 * n :].T
+        # make destabilizers mutually commuting: adding stabilizer i to d_j
+        # (i < j) fixes <d_i, d_j> without disturbing any other product
+        fix = np.triu(gf2.symplectic_products(destab, destab), 1)
+        destab ^= gf2.matmul(fix.T, s_mat)
+        x = np.vstack([destab[:, :n], s_mat[:, :n]])
+        z = np.vstack([destab[:, n:], s_mat[:, n:]])
         r = gf2.zeros(2 * n)
-        for i, d in enumerate(destab):
-            x[i], z[i] = d[:n], d[n:]
-        for i, p in enumerate(stabilizers):
-            x[n + i], z[n + i] = p.x, p.z
-            r[n + i] = 0 if p.sign > 0 else 1
+        r[n:] = [p.sign < 0 for p in stabilizers]
         return cls(n, x, z, r)
 
     def _anticommute_mask(self, p: PauliOp) -> np.ndarray:
@@ -371,10 +367,9 @@ def _ancilla_stabilizer(code: StabilizerCode, q: int) -> PauliOp:
     whatever the signed group dictates, so an ancilla pinned to |1> or
     |-> still counts as disentangled.
     """
-    for bit in (code.n + q, q):  # Z on q, then X on q
-        v = gf2.zeros(2 * code.n)
-        v[bit] = 1
-        elem = pauli.group_element(code, v)
+    rows = gf2.zeros((2, 2 * code.n))
+    rows[[0, 1], [code.n + q, q]] = 1  # Z on q, then X on q
+    for elem in pauli.group_elements(code, rows):
         if elem is not None:
             return elem
     raise ValueError(f"code has no single-qubit stabilizer on qubit {q}")
@@ -407,36 +402,35 @@ def transport_logicals(frame: LogicalFrame, path) -> LogicalFrame:
 
 
 class _SyndromeExtractor:
-    """Per-intermediate measurement plan for fast simulated syndrome readout.
+    """Per-intermediate measurement plan for batched simulated syndrome readout.
 
     For each printed generator the deterministic-measurement expansion
     (which stabilizer rows multiply to it) is fixed by the frame vectors
-    alone, so after an error only the row-phase flips need recounting.
+    alone, so after an error only the row-phase flips need recounting:
+    one product of the frame rows with the whole error list gives every
+    row's flips, and one more sums them along each expansion.
     """
 
     def __init__(self, t: Tableau, code: StabilizerCode):
-        self.t = t
-        self.code = code
         n = t.n
-        rows = np.hstack([t.x, t.z])
+        self.rows = np.hstack([t.x, t.z])
         sel_rows = []
         for g in code.gens:
             mask = t._anticommute_mask(g)[:n]
             sel = np.zeros(2 * n, dtype=np.uint8)
             sel[n:] = mask.astype(np.uint8)
-            total = (sel @ rows) % 2
+            total = (sel @ self.rows) % 2
             if not np.array_equal(total, g.vector):
                 raise ValueError("generator not in simulated stabilizer group")
             if t._deterministic_eigenvalue(g) != g.sign:
                 raise ValueError("simulated state not stabilized with printed signs")
             sel_rows.append(sel)
-        self.rows_form = gf2.swap_xz(rows)
         self.selection = np.array(sel_rows, dtype=np.uint8)
 
-    def extract(self, error: PauliOp) -> np.ndarray:
-        """Syndrome bits a fault-free readout would report after `error`."""
-        flips = (self.rows_form @ error.vector) % 2
-        return (self.selection @ flips % 2).astype(np.uint8)
+    def readout(self, errs: np.ndarray) -> np.ndarray:
+        """Syndrome bits (generators x errors) a fault-free readout would
+        report after each row of errs."""
+        return gf2.matmul(self.selection, gf2.symplectic_products(self.rows, errs))
 
 
 @dataclass(frozen=True)
@@ -452,22 +446,23 @@ def inject_and_check(path, error_weight_cap: int, tableau_check: bool = True) ->
     intermediate code and confirm detectability.
 
     With tableau_check the simulator's extracted syndrome is also compared
-    against the algebraic syndrome map for every injected error.
+    against the algebraic syndrome map for every injected error; both are
+    computed for the whole error list at once, and `syndrome_mismatches`
+    counts the errors whose two syndromes differ.
     """
     vectors = analysis.error_vectors(path.n, error_weight_cap)
-    errors = [PauliOp.from_vector(v) for v in vectors]
     failures = []
     mismatches = 0
     for idx, code in enumerate(path.intermediates):
-        failures += [(idx, errors[i]) for i in np.nonzero(analysis.undetectable(code, vectors))[0]]
+        hidden = np.nonzero(analysis.undetectable(code, vectors))[0]
+        failures += [(idx, PauliOp.from_vector(vectors[i])) for i in hidden]
         if tableau_check:
             extractor = _SyndromeExtractor(encode(code, logical_frame(code), "+Z"), code)
-            for e in errors:
-                if not np.array_equal(extractor.extract(e), pauli.syndrome(code, e)):
-                    mismatches += 1
+            algebraic = gf2.symplectic_products(code.generator_matrix, vectors)
+            mismatches += int((extractor.readout(vectors) != algebraic).any(axis=0).sum())
     return InjectionReport(
         ok=not failures and mismatches == 0,
         failures=tuple(failures),
-        errors_checked=len(errors) * len(path.intermediates),
+        errors_checked=len(vectors) * len(path.intermediates),
         syndrome_mismatches=mismatches,
     )

@@ -46,6 +46,34 @@ class TestSymplecticProduct:
             gf2.symplectic_product(np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
 
+def old_symplectic_products(rows, cols):
+    """The int64 product the float32 BLAS kernel replaced."""
+    rows = np.atleast_2d(rows)
+    cols = np.atleast_2d(cols)
+    return (gf2.swap_xz(rows).astype(np.int64) @ cols.T.astype(np.int64) % 2).astype(np.uint8)
+
+
+class TestExactKernel:
+    def test_matches_int64_product(self):
+        """Seeded shapes with 0 rows, 0 columns, and dense rows up to
+        n = 300, whose integer sums pass 255."""
+        rng = np.random.default_rng(21)
+        past_255 = 0
+        for trial in range(1200):
+            n = int(rng.integers(0, 301)) if trial % 3 == 0 else int(rng.integers(0, 20))
+            r, c = int(rng.integers(0, 9)), int(rng.integers(0, 40))
+            density = 0.97 if trial % 2 else 0.5
+            rows = (rng.random((r, 2 * n)) < density).astype(np.uint8)
+            cols = (rng.random((c, 2 * n)) < density).astype(np.uint8)
+            got = gf2.symplectic_products(rows, cols)
+            assert got.dtype == np.uint8 and got.shape == (r, c)
+            assert np.array_equal(got, old_symplectic_products(rows, cols))
+            assert np.array_equal(gf2.matmul(rows, cols.T), (rows.astype(np.int64) @ cols.T % 2).astype(np.uint8))
+            if r and c:
+                past_255 += int((gf2.swap_xz(rows).astype(np.int64) @ cols.T).max() > 255)
+        assert past_255 > 50
+
+
 class TestRank:
     def test_identity(self):
         assert gf2.rank(gf2.identity(3)) == 3

@@ -8,8 +8,82 @@ import numpy as np
 import pytest
 
 import stabswitch
-from stabswitch import analysis, pauli, rewiring, tableau
+from stabswitch import analysis, catalog, gf2, pauli, rewiring, tableau
 from stabswitch.pauli import PauliOp, StabilizerCode
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def old_from_stabilizers(stabilizers):
+    """Frame (x, z, r) built with one affine solve per destabilizer and a
+    pairwise commuting fix, the loops Tableau.from_stabilizers replaced."""
+    n = stabilizers[0].n
+    s_mat = StabilizerCode(n, tuple(stabilizers)).generator_matrix
+    a = gf2.swap_xz(s_mat)
+    destab = []
+    for i in range(n):
+        b = gf2.zeros(n)
+        b[i] = 1
+        destab.append(gf2.solve_affine(a, b)[0])
+    for j in range(n):
+        for i in range(j):
+            if gf2.symplectic_product(destab[i], destab[j]) == 1:
+                destab[j] = (destab[j] + s_mat[i]) % 2
+    x = gf2.zeros((2 * n, n))
+    z = gf2.zeros((2 * n, n))
+    r = gf2.zeros(2 * n)
+    for i, d in enumerate(destab):
+        x[i], z[i] = d[:n], d[n:]
+    for i, p in enumerate(stabilizers):
+        x[n + i], z[n + i] = p.x, p.z
+        r[n + i] = 0 if p.sign > 0 else 1
+    return x, z, r
+
+
+def random_stabilizer_state(n, rng):
+    """n signed generators of a random stabilizer state: a graph-form
+    Lagrangian (U | U A) with A symmetric, Hadamards on a random qubit
+    subset, random signs."""
+    a = gf2.random_matrix(n, n, rng)
+    a = np.triu(a) ^ np.triu(a, 1).T
+    u = gf2.random_gl(n, rng)[0]
+    rows = np.hstack([u, u @ a % 2]).astype(np.uint8)
+    swap = np.nonzero(rng.integers(0, 2, size=n))[0]
+    rows[:, swap], rows[:, n + swap] = rows[:, n + swap], rows[:, swap].copy()
+    signs = rng.choice([1, -1], size=n)
+    return [PauliOp(v[:n], v[n:], int(sg)) for v, sg in zip(rows, signs)]
+
+
+def old_inject_and_check(path, cap, tableau_check=True):
+    """(ok, failures, errors_checked, mismatches) by the per-error loop
+    inject_and_check replaced: one simulated readout and one int64
+    algebraic syndrome per error per intermediate."""
+    vectors = analysis.error_vectors(path.n, cap)
+    errors = [PauliOp.from_vector(v) for v in vectors]
+    failures = []
+    mismatches = 0
+    for idx, code in enumerate(path.intermediates):
+        g = code.generator_matrix
+        for e in errors:
+            quiet = not (gf2.swap_xz(g).astype(np.int64) @ e.vector % 2).any()
+            if quiet and not gf2.in_rowspace(g, e.vector):
+                failures.append((idx, e.to_string()))
+        if tableau_check:
+            x, z, r = old_from_stabilizers(list(code.gens) + list(tableau.logical_frame(code).logical_z))
+            extractor = tableau._SyndromeExtractor(tableau.Tableau(code.n, x, z, r), code)
+            rows_form = gf2.swap_xz(extractor.rows)
+            for e in errors:
+                got = extractor.selection @ (rows_form @ e.vector % 2) % 2
+                want = gf2.swap_xz(g).astype(np.int64) @ e.vector.astype(np.int64) % 2
+                mismatches += not np.array_equal(got, want)
+    errors_checked = len(errors) * len(path.intermediates)
+    return not failures and mismatches == 0, failures, errors_checked, mismatches
+
+
+def report_tuple(report):
+    failures = [(idx, op.to_string()) for idx, op in report.failures]
+    return report.ok, failures, report.errors_checked, report.syndrome_mismatches
 
 
 def single_qubit_zero():
@@ -51,6 +125,22 @@ class TestEncode:
             tableau.encode(perfect5, frame, "+Q")
         with pytest.raises(tableau.InconsistentSpecError):
             tableau.encode(perfect5, frame, [("Z", +1), ("Z", +1)])
+
+
+class TestFromStabilizers:
+    def test_matches_per_column_solves(self, steane7, perfect5, shor9):
+        rng = np.random.default_rng(31)
+        states = [random_stabilizer_state(int(rng.integers(1, 11)), rng) for _ in range(520)]
+        for code in (steane7, perfect5, shor9):
+            frame = tableau.logical_frame(code)
+            states.append(list(code.gens) + list(frame.logical_x))
+        for stabs in states:
+            t = tableau.Tableau.from_stabilizers(stabs)
+            want_x, want_z, want_r = old_from_stabilizers(stabs)
+            assert np.array_equal(t.x, want_x)
+            assert np.array_equal(t.z, want_z)
+            assert np.array_equal(t.r, want_r)
+            assert t.x.dtype == t.z.dtype == t.r.dtype == np.uint8
 
 
 class TestLogicalFrame:
@@ -275,6 +365,65 @@ class TestTransport:
         # transversal Z is a logical of the source group: transport moves a
         # representative of the same class
         assert not pauli.syndrome(path.target, carried.logical_z[0]).any()
+
+
+@pytest.fixture(scope="module")
+def searched_paths(searched_steane_to_five, steane7, perfect5, shor9):
+    """Four searched paths, steane7 -> rm15 at m=2 among them."""
+    rm15 = catalog.resolve(str(ROOT / "bench" / "codes" / "rm15.txt"))
+    st34 = catalog.perm(steane7, "(34)")
+    paths = [searched_steane_to_five.path]
+    for src, tgt, m, seed in ((perfect5, steane7, 0, 5), (st34, shor9, 0, 77), (steane7, rm15, 2, 3)):
+        cfg = rewiring.RewiringConfig(m=m, seed=seed, max_retries=20000, min_distance=3)
+        paths.append(rewiring.search(src, tgt, cfg).path)
+    return paths
+
+
+def weakened_path(path):
+    weak = StabilizerCode.from_strings(
+        ["ZIIIIII", "IZIIIII", "IIZIIII", "IIIZIII", "IIIIZII", "IIIIIZI"]
+    )
+    return dataclasses.replace(
+        path, intermediates=path.intermediates[:2] + (weak,) + path.intermediates[3:]
+    )
+
+
+class TestBatchedInjectionMatchesPerErrorLoop:
+    """inject_and_check reads out every error of an intermediate with two
+    products; the per-error loop it replaced must give the same report."""
+
+    def test_fixtures(self, table_paths):
+        for path in table_paths.values():
+            for cap in (0, 1, 2):
+                assert report_tuple(tableau.inject_and_check(path, cap)) == old_inject_and_check(path, cap)
+
+    def test_searched_paths(self, searched_paths):
+        assert max(path.n for path in searched_paths) == 17
+        for path in searched_paths:
+            assert report_tuple(tableau.inject_and_check(path, 2)) == old_inject_and_check(path, 2)
+
+    def test_weakened_intermediate(self, table_paths):
+        bad = weakened_path(table_paths["table1"])
+        for check in (True, False):
+            got = report_tuple(tableau.inject_and_check(bad, 2, tableau_check=check))
+            assert got == old_inject_and_check(bad, 2, tableau_check=check)
+            assert not got[0] and got[1]
+
+    def test_mismatch_count(self, table_paths, monkeypatch):
+        """With two selection rows flipped the readout disagrees with the
+        algebraic syndrome, and both sides count the same errors (an error
+        whose syndrome is wrong in both bits counts once)."""
+        init = tableau._SyndromeExtractor.__init__
+
+        def flipped(self, t, code):
+            init(self, t, code)
+            self.selection[:2] ^= 1
+
+        monkeypatch.setattr(tableau._SyndromeExtractor, "__init__", flipped)
+        path = table_paths["table2"]
+        got = report_tuple(tableau.inject_and_check(path, 2))
+        assert got == old_inject_and_check(path, 2)
+        assert not got[0] and got[3] > 0
 
 
 class TestInjectAndCheck:
