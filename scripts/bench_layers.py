@@ -2,7 +2,7 @@
 
     python3 scripts/bench_layers.py --parent REV --out BENCH_6.json
     python3 scripts/bench_layers.py --parent REV --out BENCH_6.json \\
-        --workloads path_checks --seeds 11 --pairs 10 --no-tier1
+        --workloads path_checks --seeds 11 --no-tier1
 
 The parent commit is exported with `git archive` into a temporary
 directory; the change side is the working tree.  For each side the
@@ -13,8 +13,8 @@ script records:
   encode+run_path, inject_and_check) on one fixed seeded steane7 -> rm15
   path at m=2 (n=17), in a child process importing that side's src/;
 - the `bench/run.py` end-to-end metrics of the named workloads, from
-  `--pairs` parent/change pairs per seed (the side that runs first
-  alternates), with every run and each side's quartiles;
+  PAIRS parent/change pairs of SECONDS-long runs per seed (the side
+  that runs first alternates), with every run and each side's quartiles;
 - Tier-1 wall time and pass count, and `wc -l src/stabswitch/*.py`.
 
 Results are merged into --out: a later call replaces only the sections
@@ -41,6 +41,8 @@ ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "M
 LAYER_SEED = 3  # steane7 -> rm15 at m=2 with this seed gives a 9-step path
 MIN_BATCH_S = 0.05
 REPEATS = 7
+PAIRS = 10  # alternating parent/change bench/run.py pairs per workload and seed
+SECONDS = 30  # bench/run.py --seconds, the run length BENCHMARK.json sets
 
 
 def _per_call_ms(fn, calls_per_run: int = 1) -> float:
@@ -124,9 +126,9 @@ def layers_of(checkout: Path) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def bench_run(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds), "--seed", str(seed)],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(SECONDS), "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     doc = json.loads(out.stdout.strip().splitlines()[-1])
@@ -142,14 +144,14 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare_workload(parent: Path, workload: str, seconds: float, seed: int, pairs: int) -> dict:
+def compare_workload(parent: Path, workload: str, seed: int) -> dict:
     runs = {"parent": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(bench_run(parent if side == "parent" else ROOT, workload, seconds, seed))
+            runs[side].append(bench_run(parent if side == "parent" else ROOT, workload, seed))
         before, after = runs["parent"][-1]["ops_per_s"], runs["change"][-1]["ops_per_s"]
-        print(f"  {workload} seed={seed} pair {i + 1}/{pairs}: ops_per_s {before:.3f} -> {after:.3f}", flush=True)
+        print(f"  {workload} seed={seed} pair {i + 1}/{PAIRS}: ops_per_s {before:.3f} -> {after:.3f}", flush=True)
     metrics = [k for k in runs["parent"][0] if k not in ("correct", "failed")]
     summary = {
         name: {side: _quartiles([r[name] for r in side_runs]) for side, side_runs in runs.items()}
@@ -157,8 +159,8 @@ def compare_workload(parent: Path, workload: str, seconds: float, seed: int, pai
     }
     wins = sum(a["ops_per_s"] > b["ops_per_s"] for a, b in zip(runs["change"], runs["parent"]))
     return {
-        "seconds": seconds,
-        "pairs": pairs,
+        "seconds": SECONDS,
+        "pairs": PAIRS,
         "ops_per_s_wins": wins,
         "all_correct": all(r["correct"] and not r["failed"] for side in runs.values() for r in side),
         "summary": summary,
@@ -204,12 +206,10 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--parent", default="HEAD", help="git revision to compare against (default HEAD)")
+    ap.add_argument("--parent", help="git revision to compare against (required unless --layers-only)")
     ap.add_argument("--out", type=Path, help="JSON file to create or update")
     ap.add_argument("--workloads", nargs="*", default=list(WORKLOADS), choices=WORKLOADS)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--no-tier1", action="store_true", help="skip the two Tier-1 runs")
     ap.add_argument("--layers-only", action="store_true", help="print this interpreter's layer timings and exit")
     args = ap.parse_args(argv)
@@ -217,8 +217,8 @@ def main(argv=None) -> int:
     if args.layers_only:
         print(json.dumps(time_layers()))
         return 0
-    if args.out is None:
-        ap.error("--out is required")
+    if args.parent is None or args.out is None:
+        ap.error("--parent and --out are required")
 
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -230,9 +230,7 @@ def main(argv=None) -> int:
         doc["layers"] = {"parent": layers_of(parent), "change": layers_of(ROOT)}
         for workload in args.workloads:
             for seed in args.seeds:
-                doc.setdefault("workloads", {})[f"{workload} seed={seed}"] = compare_workload(
-                    parent, workload, args.seconds, seed, args.pairs
-                )
+                doc.setdefault("workloads", {})[f"{workload} seed={seed}"] = compare_workload(parent, workload, seed)
         if not args.no_tier1:
             print("tier-1 ...", flush=True)
             doc["tier1"] = {"parent": tier1(parent), "change": tier1(ROOT)}
