@@ -37,10 +37,7 @@ for forced in (+1, -1):
     print(f"all outcomes forced to {forced:+d}: logical +X preserved = {ok}")
 
 # Exhaustive fault injection: every weight <= 2 error stays detectable in
-# every intermediate code, and the simulator's extracted syndromes agree
-# with the algebraic syndrome map.
+# every intermediate code, and an encoded state of each intermediate carries
+# every generator with its printed sign.
 report = tableau.inject_and_check(path, error_weight_cap=2)
-print(
-    f"\ninjected {report.errors_checked} errors: all detectable = {report.ok}, "
-    f"syndrome mismatches = {report.syndrome_mismatches}"
-)
+print(f"\ninjected {report.errors_checked} errors: all detectable = {report.ok}")

@@ -11,15 +11,12 @@ Every command is deterministic given --seed; machine-readable JSON goes
 only to files named by --out style flags, stdout stays human-readable.
 simulate and reproduce share one trial loop, tableau.simulate_trials;
 reproduce runs it with the fixed seed 2024.
-The environment variable RSRA_THREADS caps worker parallelism; the
-current implementation is single-threaded, so it only validates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -44,17 +41,6 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _threads() -> int:
-    raw = os.environ.get("RSRA_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"RSRA_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError("RSRA_THREADS must be >= 1")
-    return value
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -324,7 +310,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        _threads()
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

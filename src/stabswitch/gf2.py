@@ -214,36 +214,28 @@ def span_coefficients(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     return coeffs, (coeffs @ basis % 2 == rows).all(axis=1)
 
 
-def in_rowspace(m: np.ndarray, v: np.ndarray) -> bool:
-    """True iff v lies in the row space of m."""
-    m = np.atleast_2d(asbits(m))
-    return rank(np.vstack([m, asbits(v)])) == rank(m)
-
-
 def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:
     """Rows completing `partial` to a basis of the row space of `space`.
 
     Greedy over the rows of `space` in their given order, so the result
     is deterministic.  `partial` may have zero rows.
+
+    One elimination of [partial; space]^T does the greedy pass: a column
+    of a row-echelon form gets a pivot exactly when it is independent of
+    the columns to its left, so the pivots past the partial rows are the
+    rows of `space` the greedy loop picks, in the same order.
     """
     space = np.atleast_2d(asbits(space))
     cols = space.shape[1]
     partial = asbits(partial).reshape(-1, cols) if np.asarray(partial).size else zeros((0, cols))
-    if partial.shape[0] != rank(partial):
+    p = partial.shape[0]
+    stack = np.vstack([partial, space])
+    pivots = rref(stack.T)[1]
+    if pivots[:p] != list(range(p)):
         raise NotIndependentError("partial basis rows are dependent")
-    for row in partial:
-        if not in_rowspace(space, row):
-            raise NotInSpaceError("partial basis row outside the target row space")
-    current = partial
-    picked = []
-    target = rank(space)
-    for row in space:
-        if current.shape[0] == target:
-            break
-        if not in_rowspace(current, row):
-            picked.append(row)
-            current = np.vstack([current, row])
-    return np.array(picked, dtype=np.uint8).reshape(len(picked), cols)
+    if len(pivots) != rank(space):
+        raise NotInSpaceError("partial basis row outside the target row space")
+    return stack[pivots[p:]]
 
 
 def intersect_rowspaces(a: np.ndarray, b: np.ndarray) -> np.ndarray:

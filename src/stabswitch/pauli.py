@@ -369,7 +369,7 @@ def random_stabilizer_code(
         for _ in range(10_000):
             coeff = rng.integers(0, 2, size=space.shape[0], dtype=np.uint8)
             v = (coeff @ space) % 2
-            if not v.any() or gf2.in_rowspace(mat, v):
+            if not v.any() or gf2.span_coefficients(mat, v)[1][0]:
                 continue
             rows.append(v.astype(np.uint8))
             break

@@ -20,6 +20,13 @@ def dense_matrix(op: PauliOp) -> np.ndarray:
     return op.sign * out
 
 
+def in_rowspace(m, v) -> bool:
+    """True iff v lies in the row space of m, by two rank eliminations:
+    the per-row membership test the library's batched routines replaced."""
+    m = np.atleast_2d(gf2.asbits(m))
+    return gf2.rank(np.vstack([m, gf2.asbits(v)])) == gf2.rank(m)
+
+
 def naive_distance(code, cap=None) -> int:
     """Independent distance oracle: enumerate the whole syndrome-map kernel
     (2^(n+k) elements) and take the minimum weight outside the group."""
@@ -30,7 +37,7 @@ def naive_distance(code, cap=None) -> int:
     for mask in range(1, 1 << dim):
         coeff = np.array([(mask >> i) & 1 for i in range(dim)], dtype=np.uint8)
         v = (coeff @ basis) % 2
-        if not v.any() or gf2.in_rowspace(g, v):
+        if not v.any() or in_rowspace(g, v):
             continue
         w = int((v[: code.n] | v[code.n :]).sum())
         best = w if best is None else min(best, w)
@@ -43,7 +50,7 @@ def old_first_logical(code, errs):
     they batched the membership test."""
     g = code.generator_matrix
     for v in gf2.commuting_rows(g, errs):
-        if not gf2.in_rowspace(g, v):
+        if not in_rowspace(g, v):
             return v
     return None
 

@@ -184,7 +184,7 @@ def test_09_cross_module_oracle():
     )
     ver = analysis.verify_path(bad, 3)
     assert not ver.ok and ver.witness.weight <= 2
-    inj = tableau.inject_and_check(bad, 2, tableau_check=False)
+    inj = tableau.inject_and_check(bad, 2)
     assert not inj.ok
     assert inj.failures[0][1].weight <= 2
     report(9, "verify_path(d=3) and inject_and_check(cap=2) agree on all paths", t0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import naive_distance, old_code_distance, old_step_subsystem_distance, old_verify_path
+from conftest import in_rowspace, naive_distance, old_code_distance, old_step_subsystem_distance, old_verify_path
 from stabswitch import analysis, catalog, gf2, pauli, rewiring
 from stabswitch.analysis import ErrorClass
 from stabswitch.pauli import PauliOp, StabilizerCode
@@ -124,7 +124,7 @@ class TestBatchedMembershipMatchesPerErrorLoops:
             for code in path.intermediates:
                 mask = analysis.undetectable(code, errs)
                 g = code.generator_matrix
-                want = [not gf2.symplectic_products(g, v).any() and not gf2.in_rowspace(g, v) for v in errs]
+                want = [not gf2.symplectic_products(g, v).any() and not in_rowspace(g, v) for v in errs]
                 assert mask.tolist() == want
                 hidden += int(mask.sum())
         assert hidden > 0

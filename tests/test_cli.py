@@ -250,12 +250,3 @@ class TestReproduce:
     def test_unknown_table_is_usage_error(self):
         assert run("reproduce", "table9") == cli.EXIT_USAGE
 
-
-class TestThreadsEnv:
-    def test_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("RSRA_THREADS", "zero")
-        assert run("bounds", "--lemma1", "3") == cli.EXIT_USAGE
-
-    def test_good_value_accepted(self, monkeypatch):
-        monkeypatch.setenv("RSRA_THREADS", "4")
-        assert run("bounds", "--lemma1", "3") == cli.EXIT_OK

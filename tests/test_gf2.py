@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import in_rowspace
 from stabswitch import gf2
 from stabswitch.pauli import PauliOp
 
@@ -278,13 +279,82 @@ class TestExtendBasis:
             )
 
 
+def old_extend_basis(partial, space):
+    """The greedy loop extend_basis replaced: two rank tests per partial
+    row and per row of space."""
+    space = np.atleast_2d(gf2.asbits(space))
+    cols = space.shape[1]
+    partial = gf2.asbits(partial).reshape(-1, cols) if np.asarray(partial).size else gf2.zeros((0, cols))
+    if partial.shape[0] != gf2.rank(partial):
+        raise gf2.NotIndependentError("partial basis rows are dependent")
+    for row in partial:
+        if not in_rowspace(space, row):
+            raise gf2.NotInSpaceError("partial basis row outside the target row space")
+    current = partial
+    picked = []
+    target = gf2.rank(space)
+    for row in space:
+        if current.shape[0] == target:
+            break
+        if not in_rowspace(current, row):
+            picked.append(row)
+            current = np.vstack([current, row])
+    return np.array(picked, dtype=np.uint8).reshape(len(picked), cols)
+
+
+def extend_basis_outcome(fn, partial, space):
+    try:
+        return fn(partial, space)
+    except (gf2.NotIndependentError, gf2.NotInSpaceError) as exc:
+        return type(exc)
+
+
+def extend_basis_cases(count, rng):
+    """(partial, space) pairs: empty corners, then seeded draws with
+    duplicate rows in space and dependent or outside partial rows."""
+    yield gf2.zeros((0, 4)), gf2.zeros((0, 4))
+    yield gf2.zeros((0, 4)), gf2.zeros((3, 4))
+    yield gf2.identity(4)[:1], gf2.zeros((0, 4))
+    for trial in range(count):
+        cols = int(rng.integers(1, 11))
+        space = rng.integers(0, 2, size=(int(rng.integers(0, 9)), cols), dtype=np.uint8)
+        if space.shape[0] > 1 and trial % 3 == 0:
+            space[int(rng.integers(1, space.shape[0]))] = space[0]
+        basis = gf2.rref(space)[0][: gf2.rank(space)] if space.shape[0] else gf2.zeros((0, cols))
+        take = int(rng.integers(0, basis.shape[0] + 1))
+        partial = gf2.random_gl(basis.shape[0], rng)[0][:take] @ basis % 2
+        if trial % 5 == 3 and take:
+            partial = np.vstack([partial, partial[:1]])
+        elif trial % 5 == 4:
+            partial = np.vstack([partial, rng.integers(0, 2, size=(1, cols), dtype=np.uint8)])
+        yield partial, space
+
+
+class TestExtendBasisMatchesGreedyLoop:
+    def test_seeded_inputs(self):
+        outcomes = {"ok": 0, "empty partial": 0, "empty space": 0, gf2.NotIndependentError: 0, gf2.NotInSpaceError: 0}
+        for partial, space in extend_basis_cases(1200, np.random.default_rng(808)):
+            want = extend_basis_outcome(old_extend_basis, partial, space)
+            got = extend_basis_outcome(gf2.extend_basis, partial, space)
+            if isinstance(want, np.ndarray):
+                assert isinstance(got, np.ndarray) and got.dtype == np.uint8
+                assert got.shape == want.shape and np.array_equal(got, want)
+                outcomes["ok"] += 1
+            else:
+                assert got is want
+                outcomes[want] += 1
+            outcomes["empty partial"] += partial.shape[0] == 0
+            outcomes["empty space"] += space.shape[0] == 0
+        assert min(outcomes.values()) > 50, outcomes
+
+
 class TestIntersectRowspaces:
     def test_equal_spaces(self):
         a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         inter = gf2.intersect_rowspaces(a, a)
         assert gf2.rank(inter) == 2
         for row in inter:
-            assert gf2.in_rowspace(a, row)
+            assert in_rowspace(a, row)
 
     def test_disjoint(self):
         a = np.array([[1, 0, 0, 0]], dtype=np.uint8)
@@ -300,8 +370,8 @@ class TestIntersectRowspaces:
             expected = gf2.rank(a) + gf2.rank(b) - gf2.rank(np.vstack([a, b]))
             assert gf2.rank(inter) == inter.shape[0] == expected
             for row in inter:
-                assert gf2.in_rowspace(a, row)
-                assert gf2.in_rowspace(b, row)
+                assert in_rowspace(a, row)
+                assert in_rowspace(b, row)
 
 
 class TestRandomGl:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_matrix
+from conftest import dense_matrix, in_rowspace
 from stabswitch import analysis, gf2, pauli
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -212,12 +212,12 @@ class TestNormalizer:
     def test_steane_transversal_logicals_in_kernel(self, steane7):
         basis = np.array([op.vector for op in pauli.normalizer_basis(steane7)], dtype=np.uint8)
         for s in ("XXXXXXX", "ZZZZZZZ"):
-            assert gf2.in_rowspace(basis, PauliOp.from_string(s).vector)
+            assert in_rowspace(basis, PauliOp.from_string(s).vector)
 
     def test_contains_generator_span(self, perfect5):
         basis = np.array([op.vector for op in pauli.normalizer_basis(perfect5)], dtype=np.uint8)
         for g in perfect5.gens:
-            assert gf2.in_rowspace(basis, g.vector)
+            assert in_rowspace(basis, g.vector)
 
 
 class TestCodeFormat:
@@ -255,7 +255,42 @@ class TestCodeFormat:
             pauli.parse_code("XX\nXXX")
 
 
+def old_random_stabilizer_code(n, k, rng, random_signs=True):
+    """The sampler random_stabilizer_code replaced: one two-rank test per
+    candidate generator, same rng calls."""
+    rows = []
+    while len(rows) < n - k:
+        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+        space = gf2.kernel(gf2.swap_xz(mat))
+        while True:
+            coeff = rng.integers(0, 2, size=space.shape[0], dtype=np.uint8)
+            v = (coeff @ space) % 2
+            if v.any() and not in_rowspace(mat, v):
+                rows.append(v.astype(np.uint8))
+                break
+    gens = tuple(
+        PauliOp.from_vector(v, sign=-1 if (random_signs and rng.integers(0, 2)) else +1)
+        for v in rows
+    )
+    return StabilizerCode(n, gens)
+
+
 class TestRandomStabilizerCode:
+    def test_matches_per_candidate_loop(self):
+        cases = np.random.default_rng(41)
+        for _ in range(240):
+            n = int(cases.integers(1, 9))
+            k = int(cases.integers(0, n + 1))
+            seed = int(cases.integers(0, 2**32))
+            signs = bool(cases.integers(0, 2))
+            new_rng = np.random.default_rng(seed)
+            old_rng = np.random.default_rng(seed)
+            got = pauli.random_stabilizer_code(n, k, new_rng, random_signs=signs)
+            want = old_random_stabilizer_code(n, k, old_rng, random_signs=signs)
+            assert got == want
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
     def test_valid_codes(self):
         rng = np.random.default_rng(14)
         for _ in range(10):

@@ -1,13 +1,16 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stabswitch
+from conftest import in_rowspace
 from stabswitch import analysis, catalog, gf2, pauli, rewiring, tableau
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -55,10 +58,55 @@ def random_stabilizer_state(n, rng):
     return [PauliOp(v[:n], v[n:], int(sg)) for v, sg in zip(rows, signs)]
 
 
-def old_inject_and_check(path, cap, tableau_check=True):
+def old_logical_frame(code):
+    """The frame logical_frame builds, by the loops it replaced: one
+    two-rank membership test per candidate and a per-candidate sweep."""
+    g = code.generator_matrix
+    cands = list(gf2.kernel(gf2.swap_xz(g)))
+    xs, zs = [], []
+    while len(xs) < code.k:
+        used = np.array([*g, *xs, *zs], dtype=np.uint8).reshape(-1, 2 * code.n)
+        u = next(v for v in cands if not in_rowspace(used, v))
+        w = next(v for v in cands if gf2.symplectic_product(u, v) == 1)
+        new_cands = []
+        for v in cands:
+            if gf2.symplectic_product(v, w) == 1:
+                v = (v + u) % 2
+            if gf2.symplectic_product(v, u) == 1:
+                v = (v + w) % 2
+            new_cands.append(v)
+        cands = new_cands
+        xs.append(u)
+        zs.append(w)
+    return tableau.LogicalFrame(
+        tuple(PauliOp.from_vector(v) for v in xs),
+        tuple(PauliOp.from_vector(v) for v in zs),
+    )
+
+
+def old_syndrome_extractor(t, code):
+    """(selection, rows) of the per-intermediate readout plan
+    inject_and_check used to build: selection sums the frame's stabilizer
+    rows to each printed generator, after checking that it does and that
+    the generator's sign is the simulated one."""
+    n = t.n
+    rows = np.hstack([t.x, t.z])
+    selection = gf2.zeros((len(code.gens), 2 * n))
+    for i, g in enumerate(code.gens):
+        selection[i, n:] = t._anticommute_mask(g)[:n]
+        if not np.array_equal(selection[i] @ rows % 2, g.vector):
+            raise ValueError("generator not in simulated stabilizer group")
+        if t._deterministic_eigenvalue(g) != g.sign:
+            raise ValueError("simulated state not stabilized with printed signs")
+    return selection, rows
+
+
+def old_inject_and_check(path, cap):
     """(ok, failures, errors_checked, mismatches) by the per-error loop
     inject_and_check replaced: one simulated readout and one int64
-    algebraic syndrome per error per intermediate."""
+    algebraic syndrome per error per intermediate.  mismatches counts the
+    errors whose two syndromes differ, the comparison inject_and_check
+    dropped because a frame holding every generator cannot make it fire."""
     vectors = analysis.error_vectors(path.n, cap)
     errors = [PauliOp.from_vector(v) for v in vectors]
     failures = []
@@ -67,18 +115,27 @@ def old_inject_and_check(path, cap, tableau_check=True):
         g = code.generator_matrix
         for e in errors:
             quiet = not (gf2.swap_xz(g).astype(np.int64) @ e.vector % 2).any()
-            if quiet and not gf2.in_rowspace(g, e.vector):
+            if quiet and not in_rowspace(g, e.vector):
                 failures.append((idx, e.to_string()))
-        if tableau_check:
-            x, z, r = old_from_stabilizers(list(code.gens) + list(tableau.logical_frame(code).logical_z))
-            extractor = tableau._SyndromeExtractor(tableau.Tableau(code.n, x, z, r), code)
-            rows_form = gf2.swap_xz(extractor.rows)
-            for e in errors:
-                got = extractor.selection @ (rows_form @ e.vector % 2) % 2
-                want = gf2.swap_xz(g).astype(np.int64) @ e.vector.astype(np.int64) % 2
-                mismatches += not np.array_equal(got, want)
+        x, z, r = old_from_stabilizers(list(code.gens) + list(old_logical_frame(code).logical_z))
+        selection, rows = old_syndrome_extractor(tableau.Tableau(code.n, x, z, r), code)
+        rows_form = gf2.swap_xz(rows)
+        for e in errors:
+            got = selection @ (rows_form @ e.vector % 2) % 2
+            want = gf2.swap_xz(g).astype(np.int64) @ e.vector.astype(np.int64) % 2
+            mismatches += not np.array_equal(got, want)
     errors_checked = len(errors) * len(path.intermediates)
     return not failures and mismatches == 0, failures, errors_checked, mismatches
+
+
+def assert_injection_matches_old(path, cap):
+    """The report equals the per-error loop's, whose syndrome comparison
+    finds no mismatch; returns the report tuple."""
+    got = report_tuple(tableau.inject_and_check(path, cap))
+    want = old_inject_and_check(path, cap)
+    assert want[3] == 0
+    assert got == want
+    return got
 
 
 def report_tuple(report):
@@ -148,6 +205,46 @@ class TestLogicalFrame:
         for code in (steane7, perfect5, shor9):
             frame = tableau.logical_frame(code)
             frame.validate(code)  # raises on any violation
+
+    def test_matches_per_candidate_loop(self, steane7, perfect5, shor9):
+        rm15 = catalog.resolve(str(ROOT / "bench" / "codes" / "rm15.txt"))
+        surf9 = catalog.resolve(str(ROOT / "bench" / "codes" / "surf9.txt"))
+        codes = [steane7, perfect5, shor9, rm15, surf9, *rewiring.pad(steane7, rm15, 2)]
+        rng = np.random.default_rng(2718)
+        for _ in range(320):
+            n = int(rng.integers(1, 9))
+            codes.append(pauli.random_stabilizer_code(n, int(rng.integers(0, n + 1)), rng))
+        assert {code.k for code in codes} >= set(range(9))
+        for code in codes:
+            assert tableau.logical_frame(code) == old_logical_frame(code)
+
+
+def bad_frames(code):
+    """(message, frame) pairs, one per rejection of LogicalFrame.validate."""
+    frame = tableau.logical_frame(code)
+    lx, lz = frame.logical_x[0], frame.logical_z[0]
+    singles = [PauliOp.from_string("I" * q + "X" + "I" * (code.n - q - 1)) for q in range(code.n)]
+    outside = next(op for op in singles if not all(op.commutes(g) for g in code.gens))
+    return [
+        ("wrong rank", tableau.LogicalFrame(frame.logical_x + (lx,), frame.logical_z)),
+        (f"{outside} is outside the code normalizer", tableau.LogicalFrame((lx,), (outside,))),
+        (f"{code.gens[0]} is a stabilizer, not a logical", tableau.LogicalFrame((code.gens[0],), (lz,))),
+        ("frame pairs are not symplectic", tableau.LogicalFrame((lx,), (lx,))),
+    ]
+
+
+class TestValidateRejections:
+    def test_each_bad_frame_raises(self, steane7):
+        for message, frame in bad_frames(steane7):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                frame.validate(steane7)
+
+    def test_transport_reports_failure(self, steane7):
+        # a path with no steps carries every operator unchanged
+        empty = types.SimpleNamespace(steps=(), target=steane7)
+        for message, frame in bad_frames(steane7):
+            with pytest.raises(tableau.TransportFailureError, match=re.escape(message)):
+                tableau.transport_logicals(frame, empty)
 
 
 class TestMeasure:
@@ -389,41 +486,36 @@ def weakened_path(path):
 
 
 class TestBatchedInjectionMatchesPerErrorLoop:
-    """inject_and_check reads out every error of an intermediate with two
-    products; the per-error loop it replaced must give the same report."""
+    """inject_and_check finds every intermediate's undetectable errors at
+    once and checks the encoded frame with Tableau.stabilizes; the
+    per-error loop with its simulated syndrome readout must give the same
+    report, and its readout never disagrees with the algebraic syndrome."""
 
     def test_fixtures(self, table_paths):
         for path in table_paths.values():
             for cap in (0, 1, 2):
-                assert report_tuple(tableau.inject_and_check(path, cap)) == old_inject_and_check(path, cap)
+                assert_injection_matches_old(path, cap)
 
     def test_searched_paths(self, searched_paths):
         assert max(path.n for path in searched_paths) == 17
         for path in searched_paths:
-            assert report_tuple(tableau.inject_and_check(path, 2)) == old_inject_and_check(path, 2)
+            assert_injection_matches_old(path, 2)
 
     def test_weakened_intermediate(self, table_paths):
-        bad = weakened_path(table_paths["table1"])
-        for check in (True, False):
-            got = report_tuple(tableau.inject_and_check(bad, 2, tableau_check=check))
-            assert got == old_inject_and_check(bad, 2, tableau_check=check)
-            assert not got[0] and got[1]
+        got = assert_injection_matches_old(weakened_path(table_paths["table1"]), 2)
+        assert not got[0] and got[1]
 
-    def test_mismatch_count(self, table_paths, monkeypatch):
-        """With two selection rows flipped the readout disagrees with the
-        algebraic syndrome, and both sides count the same errors (an error
-        whose syndrome is wrong in both bits counts once)."""
-        init = tableau._SyndromeExtractor.__init__
+    def test_sign_flipped_encoding_raises(self, table_paths, monkeypatch):
+        encode = tableau.encode
 
-        def flipped(self, t, code):
-            init(self, t, code)
-            self.selection[:2] ^= 1
+        def flipped(code, frame, spec):
+            t = encode(code, frame, spec)
+            t.r[t.n] ^= 1  # the sign of the first printed generator
+            return t
 
-        monkeypatch.setattr(tableau._SyndromeExtractor, "__init__", flipped)
-        path = table_paths["table2"]
-        got = report_tuple(tableau.inject_and_check(path, 2))
-        assert got == old_inject_and_check(path, 2)
-        assert not got[0] and got[3] > 0
+        monkeypatch.setattr(tableau, "encode", flipped)
+        with pytest.raises(ValueError, match="not stabilized with printed signs"):
+            tableau.inject_and_check(table_paths["table2"], 1)
 
 
 class TestInjectAndCheck:
@@ -445,7 +537,7 @@ class TestInjectAndCheck:
         bad = dataclasses.replace(
             path, intermediates=path.intermediates[:2] + (weak,) + path.intermediates[3:]
         )
-        report = tableau.inject_and_check(bad, 2, tableau_check=False)
+        report = tableau.inject_and_check(bad, 2)
         assert not report.ok
         idx, witness = report.failures[0]
         assert idx == 2
