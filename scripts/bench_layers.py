@@ -11,7 +11,9 @@ script records:
 - ms per call of each layer (pad+decompose, randomize, solve_bridges,
   build_path, verify_path, code_distance, step_subsystem_distance,
   encode+run_path, inject_and_check) on one fixed seeded steane7 -> rm15
-  path at m=2 (n=17), in a child process importing that side's src/;
+  path at m=2 (n=17), and of span_coefficients on that pair's padded
+  source generators against the weight <= d-1 error list, in a child
+  process importing that side's src/;
 - the `bench/run.py` end-to-end metrics of the named workloads, from
   PAIRS parent/change pairs of SECONDS-long runs per seed (the side
   that runs first alternates), with every run and each side's quartiles;
@@ -68,7 +70,7 @@ def time_layers() -> dict:
     """ms per call of each layer, for the stabswitch found on sys.path."""
     import numpy as np
 
-    from stabswitch import analysis, catalog, rewiring, tableau
+    from stabswitch import analysis, catalog, gf2, rewiring, tableau
 
     src = catalog.resolve("steane7")
     tgt = catalog.resolve(str(ROOT / "bench" / "codes" / "rm15.txt"))
@@ -88,6 +90,8 @@ def time_layers() -> dict:
     drawn = rewiring.randomize(base, rng())
     dec = rewiring.solve_bridges(drawn, rng(), cfg.bridge_weight_samples)
     frame = tableau.logical_frame(path.source)
+    generators = rewiring.pad(src, tgt, m)[0].generator_matrix
+    errs = analysis.error_vectors(path.n, d - 1)
     codes, steps = path.intermediates, path.steps
 
     def encode_run():
@@ -107,6 +111,7 @@ def time_layers() -> dict:
         ),
         "encode+run_path": (encode_run, 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),
+        "span_coefficients": (lambda: gf2.span_coefficients(generators, errs), 1),
     }
     return {
         "input": f"steane7 -> rm15, m={m}, seed={LAYER_SEED}, n={path.n}, {len(steps)} steps, d={d}",

@@ -6,7 +6,7 @@ X < Y < Z per position), and the first element of the syndrome-map
 kernel that falls outside the stabilizer group is the witness.  This is
 exponential in the weight cap and intended for desk-scale codes.  The
 zero-syndrome errors of one weight are tested for group membership all
-at once (gf2.span_coefficients, two eliminations per code and weight);
+at once (gf2.span_coefficients, one elimination per code and weight);
 step_subsystem_distance reads the gauge coefficients off the same call.
 
 The failure-probability bound combines a union bound over low-weight

@@ -6,13 +6,16 @@ immutable and return fresh arrays.  Gaussian elimination always picks
 the leftmost pivot column and, within a column, the lowest remaining
 row, so every basis-producing routine is deterministic.
 
+Elimination runs on rows packed into Python ints (column c is bit
+width-1-c, the width a whole number of bytes), so one XOR is one row
+operation; callers still pass and get uint8 arrays.
+
 Length-2n vectors are read as (x | z) halves and carry the symplectic
 form <v, w> = v^T B w with B the block matrix [[0, I], [I, 0]].
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 import numpy as np
@@ -97,46 +100,66 @@ def commuting_rows(ops: np.ndarray, errs: np.ndarray) -> np.ndarray:
     return errs[~symplectic_products(ops, errs).any(axis=0)]
 
 
-def _eliminate(m: np.ndarray) -> Iterator[bool]:
-    """Gauss-Jordan elimination of m in place, column by column from the
-    left; yields whether each column got a pivot, until the rows run out."""
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+def _pack(m: np.ndarray) -> tuple[list[int], int]:
+    """The rows of a 0/1 matrix as Python ints, and their bit width."""
+    packed = np.packbits(m, axis=1)
+    return [int.from_bytes(row, "big") for row in packed.tolist()], 8 * packed.shape[1]
+
+
+def _unpack(ints: list[int], cols: int) -> np.ndarray:
+    """The first `cols` columns of packed rows, as a uint8 matrix."""
+    nbytes = (cols + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "big") for x in ints), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(ints), nbytes), axis=1, count=cols)
+
+
+def _eliminate(rows: list[int], width: int) -> Iterator[int]:
+    """Gauss-Jordan elimination of packed rows in place; yields each pivot
+    column, left to right.  The pivot column is the leading bit of the
+    largest remaining row, the pivot row the lowest remaining one with it."""
+    for r in range(len(rows)):
+        top = max(rows[r:])
+        if not top:
             return
-        hit = np.nonzero(m[r:, c])[0]
-        if hit.size == 0:
-            yield False
-            continue
-        p = r + int(hit[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        elim = np.nonzero(m[:, c])[0]
-        for i in elim:
-            if i != r:
-                m[i] ^= m[r]
-        r += 1
-        yield True
+        bit = 1 << top.bit_length() - 1
+        p = r
+        while not rows[p] & bit:
+            p += 1
+        pivot = rows[p]
+        rows[p] = rows[r]
+        rows[:] = [x ^ pivot if x & bit else x for x in rows]
+        rows[r] = pivot
+        yield width - top.bit_length()
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form and pivot column list."""
     m = asbits(np.atleast_2d(m))
-    return m, [c for c, hit in enumerate(_eliminate(m)) if hit]
+    rows, width = _pack(m)
+    pivots = list(_eliminate(rows, width))
+    return _unpack(rows, m.shape[1]), pivots
+
+
+def _pivots(m: np.ndarray) -> list[int]:
+    """The pivot columns of rref(m), without unpacking its rows."""
+    return list(_eliminate(*_pack(asbits(np.atleast_2d(m)))))
 
 
 def rank(m: np.ndarray) -> int:
     """GF(2) row rank."""
-    return len(rref(m)[1])
+    return len(_pivots(m))
 
 
 def _inverse(m: np.ndarray) -> np.ndarray | None:
     """Inverse of a square matrix read off the elimination of [m | I], or
     None as soon as a column of m gets no pivot (m is then singular)."""
     d = m.shape[0]
-    aug = np.hstack([m, identity(d)])
-    return aug[:, d:].copy() if all(itertools.islice(_eliminate(aug), d)) else None
+    ints, width = _pack(m)
+    rows = [x << width | 1 << width - 1 - i for i, x in enumerate(ints)]
+    for column, pivot in zip(range(d), _eliminate(rows, 2 * width)):
+        if pivot != column:
+            return None
+    return _unpack([x & (1 << width) - 1 for x in rows], d)
 
 
 def invert(m: np.ndarray) -> np.ndarray:
@@ -200,18 +223,19 @@ def span_coefficients(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     lie in its span.
 
     Returns (coeffs, inside) with coeffs[i] @ basis == rows[i] wherever
-    inside[i]; coeffs of a row outside the span mean nothing.  Two
-    eliminations however many rows: on the pivot columns P of basis, a
-    member v = c basis has c = v[P] basis[:, P]^-1.
+    inside[i]; coeffs of a row outside the span mean nothing.  One
+    elimination however many rows: rref([basis | I]) puts basis[:, P]^-1
+    in the right block, P being the pivot columns of basis, and a member
+    v = c basis has c = v[P] basis[:, P]^-1.
     """
     basis = np.atleast_2d(asbits(basis))
     rows = np.atleast_2d(asbits(rows))
-    pivots = rref(basis)[1]
-    if len(pivots) != basis.shape[0]:
+    k, cols = basis.shape
+    reduced, pivots = rref(np.hstack([basis, identity(k)]))
+    if pivots and pivots[-1] >= cols:
         raise NotIndependentError("basis rows are dependent")
-    # uint8 sums wrap mod 256, an even modulus, so the parity stays exact
-    coeffs = rows[:, pivots] @ invert(basis[:, pivots]) % 2
-    return coeffs, (coeffs @ basis % 2 == rows).all(axis=1)
+    coeffs = matmul(rows[:, pivots], reduced[:, cols:])
+    return coeffs, (matmul(coeffs, basis) == rows).all(axis=1)
 
 
 def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:
@@ -230,7 +254,7 @@ def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:
     partial = asbits(partial).reshape(-1, cols) if np.asarray(partial).size else zeros((0, cols))
     p = partial.shape[0]
     stack = np.vstack([partial, space])
-    pivots = rref(stack.T)[1]
+    pivots = _pivots(stack.T)
     if pivots[:p] != list(range(p)):
         raise NotIndependentError("partial basis rows are dependent")
     if len(pivots) != rank(space):

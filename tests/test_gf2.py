@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -438,3 +441,192 @@ class TestBatchHelpers:
         assert mats.shape == (200, 5, 5)
         for m, inv in zip(mats[:20], invs[:20]):
             assert np.array_equal((m @ inv) % 2, gf2.identity(5))
+
+
+def old_eliminate(m):
+    """The numpy elimination loop the packed kernel replaced: in place,
+    column by column from the left, yielding whether each column got a
+    pivot, until the rows run out."""
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            return
+        hit = np.nonzero(m[r:, c])[0]
+        if hit.size == 0:
+            yield False
+            continue
+        p = r + int(hit[0])
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        elim = np.nonzero(m[:, c])[0]
+        for i in elim:
+            if i != r:
+                m[i] ^= m[r]
+        r += 1
+        yield True
+
+
+def old_rref(m):
+    m = gf2.asbits(np.atleast_2d(m))
+    return m, [c for c, hit in enumerate(old_eliminate(m)) if hit]
+
+
+def old_inverse(m):
+    d = m.shape[0]
+    aug = np.hstack([m, gf2.identity(d)])
+    return aug[:, d:].copy() if all(itertools.islice(old_eliminate(aug), d)) else None
+
+
+def old_span_coefficients(basis, rows):
+    """Two eliminations: the pivots of basis, then the inverse of its
+    pivot columns."""
+    basis = np.atleast_2d(gf2.asbits(basis))
+    rows = np.atleast_2d(gf2.asbits(rows))
+    pivots = old_rref(basis)[1]
+    if len(pivots) != basis.shape[0]:
+        raise gf2.NotIndependentError("basis rows are dependent")
+    coeffs = rows[:, pivots] @ gf2.invert(basis[:, pivots]) % 2
+    return coeffs, (coeffs @ basis % 2 == rows).all(axis=1)
+
+
+@contextlib.contextmanager
+def old_kernel():
+    """gf2 as it was before the packed kernel: the numpy loop under rref,
+    rank, _inverse and span_coefficients, so every routine built on them
+    (kernel, solve_affine, invert, extend_basis, intersect_rowspaces,
+    random_gl) runs the old elimination.  Reaching the packed kernel fails."""
+
+    def unreachable(*args):
+        raise AssertionError("packed kernel reached under the old-kernel oracle")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_eliminate", unreachable)
+        mp.setattr(gf2, "rref", old_rref)
+        mp.setattr(gf2, "_pivots", lambda m: old_rref(m)[1])
+        mp.setattr(gf2, "_inverse", old_inverse)
+        mp.setattr(gf2, "span_coefficients", old_span_coefficients)
+        yield
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def raised(result, exc) -> bool:
+    return isinstance(result, tuple) and result[0] is exc
+
+
+def assert_same(got, want, what):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), what
+        assert got.dtype == want.dtype and got.shape == want.shape, what
+        assert np.array_equal(got, want), what
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), what
+        for g, w in zip(got, want):
+            assert_same(g, w, what)
+    else:
+        assert type(got) is type(want) and got == want, what
+
+
+BYTE_EDGES = (7, 8, 9, 15, 16, 17, 63, 64, 65)
+DENSITIES = (0.03, 0.15, 0.5, 0.85, 0.97)
+
+
+def oracle_cases(count, rng):
+    """Seeded 0/1 matrices, 0-40 rows by 0-70 columns, sparse to dense:
+    the empty shapes first, then every fourth one square (half of those
+    rank-deficient, half invertible), every fifth one at a byte-edge
+    column count."""
+    yield from (gf2.zeros(shape) for shape in ((0, 0), (0, 9), (5, 0), (1, 1)))
+    for trial in range(count):
+        rows, cols = int(rng.integers(0, 41)), int(rng.integers(0, 71))
+        if trial % 5 == 1:
+            cols = BYTE_EDGES[trial // 5 % len(BYTE_EDGES)]
+        density = DENSITIES[trial % len(DENSITIES)]
+        if trial % 4 == 0:
+            cols = rows = min(rows, 24)
+        m = (rng.random((rows, cols)) < density).astype(np.uint8)
+        if trial % 8 == 0 and rows > 1:
+            inner = int(rng.integers(0, rows))
+            m = gf2.matmul(m[:, :inner], rng.integers(0, 2, size=(inner, cols), dtype=np.uint8))
+        elif trial % 8 == 4:
+            m = gf2.random_gl(rows, rng)[0]
+        yield m
+
+
+def oracle_inputs(m, rng):
+    """The other operands: right-hand sides inside and (mostly) outside
+    the column space, rows inside and outside the row space, a partial
+    basis (with a random row appended half the time) and a second space."""
+    rows, cols = m.shape
+    basis = gf2.rref(m)[0][: gf2.rank(m)]
+    partial = gf2.matmul(rng.integers(0, 2, size=(len(basis) // 2, len(basis)), dtype=np.uint8), basis)
+    if rng.integers(0, 2):
+        partial = np.vstack([partial, rng.integers(0, 2, size=(1, cols), dtype=np.uint8)])
+    return {
+        "basis": basis,
+        "b_member": gf2.matmul(m, rng.integers(0, 2, size=(cols, 1), dtype=np.uint8)).reshape(-1),
+        "b_random": rng.integers(0, 2, size=rows, dtype=np.uint8),
+        "probe": np.vstack([gf2.matmul(rng.integers(0, 2, size=(4, rows), dtype=np.uint8), m),
+                            rng.integers(0, 2, size=(4, cols), dtype=np.uint8), gf2.zeros((1, cols))]),
+        "partial": partial,
+        "other": (rng.random((int(rng.integers(0, 12)), cols)) < 0.5).astype(np.uint8),
+    }
+
+
+def gf2_results(m, inputs):
+    """Every elimination-backed routine on m and the drawn operands."""
+    return {
+        "rref": gf2.rref(m),
+        "rank": gf2.rank(m),
+        "kernel": gf2.kernel(m),
+        "invert": outcome(gf2.invert, m),
+        "_inverse": gf2._inverse(m) if m.shape[0] == m.shape[1] else None,
+        "solve_affine member": outcome(gf2.solve_affine, m, inputs["b_member"]),
+        "solve_affine random": outcome(gf2.solve_affine, m, inputs["b_random"]),
+        "span_coefficients rows": outcome(gf2.span_coefficients, m, inputs["probe"]),
+        "span_coefficients basis": outcome(gf2.span_coefficients, inputs["basis"], inputs["probe"]),
+        "span_coefficients no basis": outcome(gf2.span_coefficients, gf2.zeros((0, m.shape[1])), inputs["probe"]),
+        "extend_basis": outcome(gf2.extend_basis, inputs["partial"], m),
+        "intersect_rowspaces": gf2.intersect_rowspaces(m, inputs["other"]),
+    }
+
+
+class TestPackedKernelMatchesNumpyLoop:
+    def test_seeded_matrices(self):
+        """2,004 seeded matrices: every routine built on the elimination
+        gives the old kernel's bits, and raises where it raised."""
+        seen = {"singular": 0, "invertible": 0, "inconsistent": 0, "dependent basis": 0,
+                "not independent": 0, "not in space": 0, "empty": 0, "byte edge": 0}
+        rng = np.random.default_rng(909)
+        for i, m in enumerate(oracle_cases(2000, rng)):
+            inputs = oracle_inputs(m, rng)
+            new = gf2_results(m, inputs)
+            with old_kernel():
+                old = gf2_results(m, inputs)
+            for name, want in old.items():
+                assert_same(new[name], want, f"{name} on case {i}, shape {m.shape}")
+            if m.shape[0] == m.shape[1]:
+                seen["singular" if old["_inverse"] is None else "invertible"] += 1
+            seen["inconsistent"] += raised(old["solve_affine random"], gf2.InconsistentSystemError)
+            seen["dependent basis"] += raised(old["span_coefficients rows"], gf2.NotIndependentError)
+            seen["not independent"] += raised(old["extend_basis"], gf2.NotIndependentError)
+            seen["not in space"] += raised(old["extend_basis"], gf2.NotInSpaceError)
+            seen["empty"] += 0 in m.shape
+            seen["byte edge"] += m.shape[1] in BYTE_EDGES
+        assert min(seen.values()) >= 50, seen
+
+    def test_random_gl_draws_inverses_and_state(self):
+        for dim in range(9):
+            new_rng, old_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+            new = [gf2.random_gl(dim, new_rng) for _ in range(60)]
+            with old_kernel():
+                old = [gf2.random_gl(dim, old_rng) for _ in range(60)]
+            assert_same(new, old, f"random_gl at dim {dim}")
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
