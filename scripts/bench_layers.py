@@ -11,9 +11,11 @@ script records:
 - ms per call of each layer (pad+decompose, randomize, solve_bridges,
   build_path, verify_path, code_distance, step_subsystem_distance,
   encode+run_path, inject_and_check) on one fixed seeded steane7 -> rm15
-  path at m=2 (n=17), and of span_coefficients on that pair's padded
-  source generators against the weight <= d-1 error list, in a child
-  process importing that side's src/;
+  path at m=2 (n=17), of span_coefficients on that pair's padded
+  source generators against the weight <= d-1 error list, and ms per
+  retry of `search` on steane7 -> (34)-steane7 at m=1, which has no
+  path and so spends all of its 60 retries, in a child process importing
+  that side's src/;
 - the `bench/run.py` end-to-end metrics of the named workloads, from
   PAIRS parent/change pairs of SECONDS-long runs per seed (the side
   that runs first alternates), with every run and each side's quartiles;
@@ -94,6 +96,16 @@ def time_layers() -> dict:
     errs = analysis.error_vectors(path.n, d - 1)
     codes, steps = path.intermediates, path.steps
 
+    st34 = catalog.perm(src, "(34)")
+    search_cfg = rewiring.RewiringConfig(m=1, seed=LAYER_SEED, max_retries=60, min_distance=d)
+
+    def exhausted_search():
+        try:
+            rewiring.search(src, st34, search_cfg)
+        except rewiring.SearchExhaustedError:
+            return
+        raise AssertionError("steane7 -> (34)-steane7 has no distance-3 path at m=1")
+
     def encode_run():
         t = tableau.encode(path.source, frame, "+Z")
         tableau.run_path(t, path, np.random.default_rng(0))
@@ -112,6 +124,7 @@ def time_layers() -> dict:
         "encode+run_path": (encode_run, 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),
         "span_coefficients": (lambda: gf2.span_coefficients(generators, errs), 1),
+        "search": (exhausted_search, search_cfg.max_retries),
     }
     return {
         "input": f"steane7 -> rm15, m={m}, seed={LAYER_SEED}, n={path.n}, {len(steps)} steps, d={d}",

@@ -21,10 +21,10 @@ the outgoing one on a sign mismatch):
   5. build_path   - emit the exchange sequence and all intermediate
                     codes, each step checked for adjacency and both
                     endpoints checked as signed groups.
-  6. search       - repeat 3-4 with fresh child seeds and screen each
-                    draw's intermediates for the distance check
-                    (DrawScreen); only the draw that passes is built
-                    and re-checked by verify_path.
+  6. search       - repeat 3-4 with fresh child seeds, in chunks of
+                    retries screened at once for the distance check
+                    (DrawScreen); the lowest passing retry, whatever the
+                    chunking, is built and re-checked by verify_path.
 
 A Decomposition holds its blocks as GF(2) row matrices only.  Every
 row except a bridge lies in the padded source or target group, and a
@@ -90,6 +90,10 @@ class SearchExhaustedError(RuntimeError):
 
 StepOrder = tuple[tuple[str, int], ...]
 
+# search screens <= _MAX_CHUNK retries at once, fewer if their syndromes would pass _MAX_SYNDROMES bits
+_MAX_CHUNK = 64
+_MAX_SYNDROMES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -101,7 +105,8 @@ class Decomposition:
     <direct_tgt[i], direct_src[j]> = delta_ij after normalization.
     bridges holds one auxiliary row per bridged pair once solved.
     step_order, when set, overrides the canonical exchange order (used by
-    fixtures that prescribe their own printed order).
+    fixtures that prescribe their own printed order).  A chunk of draws
+    (see randomize) stacks its direct blocks and bridges, one per draw.
     """
 
     source: StabilizerCode
@@ -122,6 +127,10 @@ class Decomposition:
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.shared), len(self.bridged_src), len(self.direct_src)
+
+    def draw(self, i: int) -> "Decomposition":
+        bridges = None if self.bridges is None else self.bridges[i]
+        return replace(self, direct_src=self.direct_src[i], direct_tgt=self.direct_tgt[i], bridges=bridges)
 
 
 @dataclass(frozen=True)
@@ -357,23 +366,27 @@ def decompose(
     )
 
 
-def randomize(dec: Decomposition, rng: np.random.Generator) -> Decomposition:
+def randomize(dec: Decomposition, rng: np.random.Generator | Sequence[np.random.Generator]) -> Decomposition:
     """Draw V, V' and then U, and remix the direct rows:
     direct <- U(V . bridged + direct) and
     direct' <- (U^-1)^T (V' . bridged' + direct').
 
     Each new row is a sum of rows of its own group, so the padded groups
     are unchanged, and the commutativity matrix stays the identity, which
-    is checked on every draw.
+    is checked on every draw.  Given a sequence of generators, each draws
+    in turn, and one product remixes and checks the chunk of draws.
     """
+    if isinstance(rng, np.random.Generator):
+        return randomize(dec, [rng]).draw(0)
     _, b, c = dec.counts()
-    v = gf2.random_matrix(c, b, rng)
-    vp = gf2.random_matrix(c, b, rng)
-    u, u_inv = gf2.random_gl(c, rng)
-    uit = u_inv.T
-    direct_src = ((u @ v) % 2 @ dec.bridged_src + u @ dec.direct_src) % 2
-    direct_tgt = ((uit @ vp) % 2 @ dec.bridged_tgt + uit @ dec.direct_tgt) % 2
-    if not np.array_equal(gf2.symplectic_products(direct_tgt, direct_src), gf2.identity(c)):
+    draws = []
+    for g in rng:  # b = 0 skips V and V': a zero-size draw would leave g as it is
+        v, vp = (gf2.random_matrix(c, b, g), gf2.random_matrix(c, b, g)) if b else (gf2.zeros((c, 0)),) * 2
+        draws.append((v, vp, *gf2.random_gl(c, g)))
+    v, vp, u, u_inv = (np.stack(block) for block in zip(*draws))
+    direct_src = gf2.matmul(u, gf2.matmul(v, dec.bridged_src) ^ dec.direct_src)
+    direct_tgt = gf2.matmul(u_inv.swapaxes(1, 2), gf2.matmul(vp, dec.bridged_tgt) ^ dec.direct_tgt)
+    if not (gf2.matmul(gf2.swap_xz(direct_tgt), direct_src.swapaxes(1, 2)) == gf2.identity(c)).all():
         raise AdjacencyViolationError("randomization broke the direct pairing")
     return replace(dec, direct_src=direct_src, direct_tgt=direct_tgt, bridges=None)
 
@@ -448,7 +461,7 @@ def canonical_step_order(dec: Decomposition) -> StepOrder:
 def _exchanges(order: StepOrder, a: int, bridges, bridged_tgt, direct_tgt):
     """(replaced index, incoming generator) for each step of order, in a
     generator list laid out as shared, bridged, direct.  The blocks may be
-    sequences of signed Paulis or GF(2) row matrices."""
+    sequences of signed Paulis, GF(2) row matrices or stack row indices."""
     b = len(bridged_tgt)
     seen_in: set[int] = set()
     for kind, i in order:
@@ -565,26 +578,42 @@ class DrawScreen:
     def first_failure(self, dec: Decomposition) -> tuple[int, PauliOp] | None:
         """(failing index, witness) as verify_path reports them for the path
         dec builds, or None if every intermediate passes."""
-        a = len(dec.shared)
-        steps = list(_exchanges(self.order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt))
-        gens = np.vstack([dec.bridged_src, dec.direct_src, *(inc for _, inc in steps)])
-        syn = gf2.symplectic_products(gens, self.errors)
-        live = len(gens) - len(steps)
-        cur, cur_syn = gens[:live].copy(), syn[:live].copy()
-        logicals = self.logicals.copy()
-        log_syn = gf2.symplectic_products(logicals, self.errors)
+        one = replace(dec, direct_src=dec.direct_src[None], direct_tgt=dec.direct_tgt[None])
+        return next(((r.failing_index, r.witness) for r in self.reject(one, 0)), None)
+
+    def reject(self, chunk: Decomposition, start: int) -> list[Rejection]:
+        """A Rejection, with first_failure's index and witness, for each draw
+        of the chunk (draw i is retry start + i) before its first passing
+        one.  One walk serves the chunk: each draw stacks the rows of all
+        blocks, and a step moves a generator slot to another stack row."""
+        a, b = len(chunk.shared), len(chunk.bridged_src)
+        count, c, _ = chunk.direct_src.shape
+        bridges = chunk.bridges if b else chunk.bridged_src
+        blocks = (chunk.bridged_src, chunk.direct_src, bridges, chunk.bridged_tgt, chunk.direct_tgt)
+        rows = np.concatenate([np.broadcast_to(x, (count, *x.shape[-2:])) for x in blocks], axis=1)
+        swapped = gf2.swap_xz(rows)
+        syn = gf2.matmul(swapped, self.errors.T)
+        slots = list(range(b + c))  # the stack row each non-shared generator slot holds
+        incoming = np.split(np.arange(b + c, 3 * b + 2 * c), [b, 2 * b])  # rows of bridges, bridged', direct'
+        steps = list(_exchanges(self.order, a, *incoming))
+        logicals = np.repeat(self.logicals[None], count, axis=0)
+        log_syn = gf2.matmul(gf2.swap_xz(logicals), self.errors.T)
+        failing, witness = np.full(count, -1), np.zeros(count, dtype=int)
         for j in range(len(steps) + 1):
-            bad = log_syn.any(axis=0) & ~cur_syn.any(axis=0)
-            if bad.any():
-                return j, PauliOp.from_vector(self.errors[int(np.argmax(bad))])
-            if j < len(steps):
-                idx, inc = steps[j]
-                k = idx - a
-                flip = gf2.symplectic_products(logicals, inc)[:, 0].astype(bool)
-                logicals[flip] ^= cur[k]
-                log_syn[flip] ^= cur_syn[k]
-                cur[k], cur_syn[k] = inc, syn[live + j]
-        return None
+            bad = log_syn.any(axis=1) & ~syn[:, slots].any(axis=1)
+            new = bad.any(axis=1) & (failing < 0)
+            if new.any():
+                failing[new], witness[new] = j, bad[new].argmax(axis=1)
+            if j == len(steps) or (failing >= 0).all():
+                break
+            idx, row = steps[j]
+            out, slots[idx - a] = slots[idx - a], row
+            flip = gf2.matmul(logicals, swapped[:, row, :, None])
+            logicals ^= flip & rows[:, None, out]
+            log_syn ^= flip & syn[:, None, out]
+        stop = next(iter(np.flatnonzero(failing < 0)), count)
+        ops = {w: PauliOp.from_vector(self.errors[w]) for w in set(witness[:stop].tolist())}
+        return [Rejection(start + i, int(failing[i]), ops[witness[i]]) for i in range(stop)]
 
 
 @dataclass(frozen=True)
@@ -606,6 +635,21 @@ def child_rng(seed: int, retry: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(retry,)))
 
 
+def draw_chunk(base: Decomposition, config: RewiringConfig, retries: range) -> Decomposition:
+    """Retries as one chunk: retry r randomizes, then solves bridges, with child_rng(config.seed, r)."""
+    rngs = [child_rng(config.seed, r) for r in retries]
+    chunk = randomize(base, rngs)
+    if len(base.bridged_src):
+        solved = [solve_bridges(chunk.draw(i), g, config.bridge_weight_samples).bridges for i, g in enumerate(rngs)]
+        chunk = replace(chunk, bridges=np.stack(solved))
+    return chunk
+
+
+def best_distance_floor(rejections: Sequence[Rejection]) -> int | None:
+    """The largest witness weight among the rejections (None if none)."""
+    return max((r.witness.weight for r in rejections), default=None)
+
+
 def search(
     source: StabilizerCode,
     target: StabilizerCode,
@@ -615,42 +659,38 @@ def search(
     """Randomized search for a path whose intermediates all reach the
     configured minimum distance.
 
-    Retry r randomizes with its own child generator, so results are
-    reproducible and independent of how many retries earlier runs used.
-    Each draw is screened on its GF(2) rows; only the draw that passes
-    is built, with signs and adjacency checks, and re-verified by
-    verify_path.  Raises SearchExhaustedError after max_retries
-    failures, reporting the best (largest) witness weight observed among
-    first-failing intermediates.
+    Retry r randomizes with its own child generator, and retries are
+    screened on their GF(2) rows in chunks of 1, 2, 4, ... draws; the
+    lowest passing retry decides and rejections come in retry order, so
+    results are reproducible whatever the chunking or the retries earlier
+    runs used.  Only the passing draw is built, with signs and adjacency
+    checks, and re-verified by verify_path.  Raises SearchExhaustedError
+    after max_retries failures, reporting the best (largest) witness
+    weight observed among first-failing intermediates.
     """
     if source.k == 0:
         raise ValueError("search needs codes with k >= 1")
-    padded_src, padded_tgt = pad(source, target, config.m)
     ancilla = ancilla_qubits_for(source, target, config.m)
-    base = decompose(padded_src, padded_tgt, m=config.m, ancilla_qubits=ancilla)
+    base = decompose(*pad(source, target, config.m), m=config.m, ancilla_qubits=ancilla)
     screen = DrawScreen.of(base, config.min_distance)
+    _, b, c = base.counts()
+    cap = max(1, min(_MAX_CHUNK, _MAX_SYNDROMES // max(1, (3 * b + 2 * c) * len(screen.errors))))
     rejections: list[Rejection] = []
-    best: int | None = None
-    for retry in range(config.max_retries):
-        rng = child_rng(config.seed, retry)
-        dec = solve_bridges(randomize(base, rng), rng, config.bridge_weight_samples)
-        failure = screen.first_failure(dec)
-        if failure is None:
-            path = build_path(dec)
+    size = 1
+    while len(rejections) < config.max_retries:
+        retries = range(len(rejections), min(len(rejections) + size, config.max_retries))
+        chunk = draw_chunk(base, config, retries)
+        found = screen.reject(chunk, retries.start)
+        rejections += found
+        for rej in found if on_reject is not None else ():
+            on_reject(rej)
+        if len(found) < len(retries):
+            path = build_path(chunk.draw(len(found)))
             if not analysis.verify_path(path, config.min_distance).ok:
                 raise AdjacencyViolationError("verify_path rejects the draw that passed the row screen")
-            return SearchResult(
-                path=replace(path, seed=config.seed),
-                retries_used=retry + 1,
-                rejections=tuple(rejections),
-            )
-        rej = Rejection(retry, *failure)
-        rejections.append(rej)
-        if on_reject is not None:
-            on_reject(rej)
-        found = rej.witness.weight
-        best = found if best is None else max(best, found)
-    raise SearchExhaustedError(config.max_retries, best)
+            return SearchResult(replace(path, seed=config.seed), len(rejections) + 1, tuple(rejections))
+        size = min(2 * size, cap)
+    raise SearchExhaustedError(config.max_retries, best_distance_floor(rejections))
 
 
 def _validate_fixture(dec: Decomposition) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from conftest import old_verify_path
 from stabswitch import analysis, catalog, fixtures, gf2, pauli, rewiring
 from stabswitch.pauli import PauliOp, StabilizerCode
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rowspace_key(code: StabilizerCode) -> bytes:
@@ -494,6 +497,176 @@ def test_search_matches_signed_oracle(src, tgt, m, samples):
         assert outcomes == {False}
     if m >= 2:
         assert True in outcomes
+
+
+def _per_draw_randomize(dec, rng):
+    """randomize as it ran before retries were screened in chunks: one
+    draw, V and V' drawn even when empty."""
+    _, b, c = dec.counts()
+    v = gf2.random_matrix(c, b, rng)
+    vp = gf2.random_matrix(c, b, rng)
+    u, u_inv = gf2.random_gl(c, rng)
+    uit = u_inv.T
+    direct_src = ((u @ v) % 2 @ dec.bridged_src + u @ dec.direct_src) % 2
+    direct_tgt = ((uit @ vp) % 2 @ dec.bridged_tgt + uit @ dec.direct_tgt) % 2
+    if not np.array_equal(gf2.symplectic_products(direct_tgt, direct_src), gf2.identity(c)):
+        raise rewiring.AdjacencyViolationError("randomization broke the direct pairing")
+    return dataclasses.replace(dec, direct_src=direct_src, direct_tgt=direct_tgt, bridges=None)
+
+
+def _per_draw_first_failure(screen, dec):
+    """DrawScreen.first_failure as it ran before the chunked walk: one
+    draw, one generator list carried step by step."""
+    a = len(dec.shared)
+    steps = list(rewiring._exchanges(screen.order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt))
+    gens = np.vstack([dec.bridged_src, dec.direct_src, *(inc for _, inc in steps)])
+    syn = gf2.symplectic_products(gens, screen.errors)
+    live = len(gens) - len(steps)
+    cur, cur_syn = gens[:live].copy(), syn[:live].copy()
+    logicals = screen.logicals.copy()
+    log_syn = gf2.symplectic_products(logicals, screen.errors)
+    for j in range(len(steps) + 1):
+        bad = log_syn.any(axis=0) & ~cur_syn.any(axis=0)
+        if bad.any():
+            return j, PauliOp.from_vector(screen.errors[int(np.argmax(bad))])
+        if j < len(steps):
+            idx, inc = steps[j]
+            k = idx - a
+            flip = gf2.symplectic_products(logicals, inc)[:, 0].astype(bool)
+            logicals[flip] ^= cur[k]
+            log_syn[flip] ^= cur_syn[k]
+            cur[k], cur_syn[k] = inc, syn[live + j]
+    return None
+
+
+def _per_draw_search(source, target, cfg):
+    """The retry loop before chunking: randomize, solve_bridges and
+    first_failure one retry at a time.  Returns (rejections, retries used
+    or None, best floor, path JSON or None)."""
+    ancilla = rewiring.ancilla_qubits_for(source, target, cfg.m)
+    base = rewiring.decompose(*rewiring.pad(source, target, cfg.m), m=cfg.m, ancilla_qubits=ancilla)
+    screen = rewiring.DrawScreen.of(base, cfg.min_distance)
+    rejections, best = [], None
+    for retry in range(cfg.max_retries):
+        rng = rewiring.child_rng(cfg.seed, retry)
+        dec = rewiring.solve_bridges(_per_draw_randomize(base, rng), rng, cfg.bridge_weight_samples)
+        failure = _per_draw_first_failure(screen, dec)
+        if failure is None:
+            path = dataclasses.replace(rewiring.build_path(dec), seed=cfg.seed)
+            return rejections, retry + 1, best, json.dumps(path.to_json())
+        rejections.append((retry, failure[0], failure[1].to_string()))
+        best = failure[1].weight if best is None else max(best, failure[1].weight)
+    return rejections, None, best, None
+
+
+def _bench_code(name):
+    return str(ROOT / "bench" / "codes" / f"{name}.txt")
+
+
+# source, target, m, bridge weight samples
+CHUNK_CASES = [
+    ("steane7", "perm(steane7,(34))", 0, 0),
+    ("steane7", "perm(steane7,(34))", 1, 0),
+    ("steane7", "perm(steane7,(34))", 2, 0),
+    ("steane7", "perfect5", 0, 0),
+    ("steane7", "perfect5", 0, 3),
+    ("steane7", "perfect5", 4, 0),
+    ("steane7", "perfect5", 4, 3),
+    ("perfect5", "steane7", 0, 0),
+    ("steane7", "rm15", 2, 0),
+    ("surf9", "perfect5", 3, 0),
+    ("surf9", "perfect5", 3, 2),
+]
+
+
+def _chunk_starts(cap, budget):
+    """The first retry of each chunk search screens with chunk cap `cap`."""
+    starts, size, retry = set(), 1, 0
+    while retry < budget:
+        starts.add(retry)
+        retry, size = retry + size, min(2 * size, cap)
+    return starts
+
+
+@pytest.mark.parametrize("src,tgt,m,samples", CHUNK_CASES)
+def test_chunked_search_matches_per_draw_loop(monkeypatch, src, tgt, m, samples):
+    """30 seeds per case, 330 searches with 150 retries each: chunked
+    screening gives the per-draw loop's retry count, path bytes,
+    rejections, on_reject sequence and best floor, and so it does with
+    the chunk cap at 1 and at 7 on every third seed."""
+    resolve = {"rm15": _bench_code("rm15"), "surf9": _bench_code("surf9")}
+    source, target = (catalog.resolve(resolve.get(name, name)) for name in (src, tgt))
+    budget, default_cap = 150, rewiring._MAX_CHUNK
+    accepted = {cap: set() for cap in (default_cap, 1, 7)}
+    for seed in range(30):
+        cfg = rewiring.RewiringConfig(m=m, seed=seed, max_retries=budget, min_distance=3, bridge_weight_samples=samples)
+        want = _per_draw_search(source, target, cfg)
+        for cap in accepted if seed % 3 == 0 else [default_cap]:
+            monkeypatch.setattr(rewiring, "_MAX_CHUNK", cap)
+            seen = []
+            try:
+                res = rewiring.search(source, target, cfg, on_reject=seen.append)
+            except rewiring.SearchExhaustedError as exc:
+                assert exc.retries == budget
+                got = (None, exc.best_distance_floor, None)
+            else:
+                got = (res.retries_used, want[2], json.dumps(res.path.to_json()))
+                assert [(r.retry, r.failing_index, r.witness.to_string()) for r in res.rejections] == want[0]
+                accepted[cap].add(res.retries_used - 1)
+            assert got == want[1:]
+            assert [(r.retry, r.failing_index, r.witness.to_string()) for r in seen] == want[0]
+    if tgt == "perm(steane7,(34))" and m < 2:
+        assert not any(accepted.values())
+    else:
+        assert accepted[1]
+    if (src, tgt, m) == ("steane7", "perm(steane7,(34))", 2):
+        # accepted retries both open a chunk and sit inside one
+        for cap in (default_cap, 7):
+            starts = _chunk_starts(cap, budget)
+            assert accepted[cap] & starts and accepted[cap] - starts
+
+
+@pytest.mark.parametrize("src,tgt,m", [("steane7", "perm(steane7,(34))", 1), ("steane7", "perfect5", 4)])
+def test_randomize_and_screen_match_per_draw_code(src, tgt, m):
+    """Batch-of-one randomize and first_failure against the per-draw code
+    on 200 draws: same rows, same generator state afterwards (b = 0 skips
+    the empty V and V' draws), same failing index and witness."""
+    source, target = catalog.resolve(src), catalog.resolve(tgt)
+    base = rewiring.decompose(*rewiring.pad(source, target, m))
+    screen = rewiring.DrawScreen.of(base, 3)
+    outcomes = set()
+    for seed in range(200):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = rewiring.randomize(base, rng), _per_draw_randomize(base, oracle_rng)
+        assert np.array_equal(got.direct_src, want.direct_src) and np.array_equal(got.direct_tgt, want.direct_tgt)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        dec = rewiring.solve_bridges(got, rng, 2)
+        failure, oracle = screen.first_failure(dec), _per_draw_first_failure(screen, dec)
+        assert (failure and (failure[0], failure[1].to_string())) == (oracle and (oracle[0], oracle[1].to_string()))
+        outcomes.add(failure is None)
+    assert outcomes == ({False} if m < 2 else {False, True})
+
+
+def test_wrong_inverse_inside_a_chunk_raises(monkeypatch, steane7):
+    """A bad U^-1 on retry 5, inside the chunk of retries 3..6, fails the
+    chunk's pairing check."""
+    st34 = catalog.perm(steane7, "(34)")
+    draws = []
+    real = gf2.random_gl
+
+    def random_gl(dim, rng):
+        u, u_inv = real(dim, rng)
+        draws.append(u)
+        if len(draws) == 6:
+            u_inv = u_inv ^ gf2.identity(dim)
+        return u, u_inv
+
+    monkeypatch.setattr(gf2, "random_gl", random_gl)
+    cfg = rewiring.RewiringConfig(m=1, seed=7, max_retries=40, min_distance=3)
+    seen = []
+    with pytest.raises(rewiring.AdjacencyViolationError, match="pairing"):
+        rewiring.search(steane7, st34, cfg, on_reject=seen.append)
+    assert len(draws) == 7 and [r.retry for r in seen] == [0, 1, 2]
 
 
 def _direct_mix_from_u(dec, u):
