@@ -89,7 +89,7 @@ def time_layers() -> dict:
         return rewiring.decompose(*rewiring.pad(src, tgt, m), m=m, ancilla_qubits=ancilla)
 
     base = decompose()
-    drawn = rewiring.randomize(base, rng())
+    drawn = rewiring.randomize(base, [rng()]).draw(0)
     dec = rewiring.solve_bridges(drawn, rng(), cfg.bridge_weight_samples)
     frame = tableau.logical_frame(path.source)
     generators = rewiring.pad(src, tgt, m)[0].generator_matrix
@@ -112,7 +112,7 @@ def time_layers() -> dict:
 
     layers = {
         "pad+decompose": (decompose, 1),
-        "randomize": (lambda: rewiring.randomize(base, rng()), 1),
+        "randomize": (lambda: rewiring.randomize(base, [rng()]).draw(0), 1),
         "solve_bridges": (lambda: rewiring.solve_bridges(drawn, rng(), cfg.bridge_weight_samples), 1),
         "build_path": (lambda: rewiring.build_path(dec), 1),
         "verify_path": (lambda: analysis.verify_path(path, d), 1),

@@ -94,8 +94,7 @@ def cmd_convert(args) -> int:
     except rewiring.SearchExhaustedError as exc:
         print(f"search exhausted: {exc}")
         print(f"  retries: {exc.retries}")
-        if exc.best_distance_floor is not None:
-            print(f"  best failing intermediate distance: {exc.best_distance_floor}")
+        print(f"  best failing intermediate distance: {exc.best_distance_floor}")
         return EXIT_EXHAUSTED
     path = result.path
     print(
@@ -163,6 +162,8 @@ def _forced_schedule(spec: str | None, steps: int):
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     path = _load_path(args.path)
     forced = _forced_schedule(args.force_outcomes, len(path.steps))
     failures = 0

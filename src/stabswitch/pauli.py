@@ -240,10 +240,6 @@ class StabilizerCode:
         m.setflags(write=False)
         return m
 
-    @cached_property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(g.sign for g in self.gens)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StabilizerCode):
             return NotImplemented

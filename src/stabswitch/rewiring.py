@@ -38,7 +38,7 @@ V' and then U in that order, so runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,16 +75,12 @@ class PathIntegrityError(ValueError):
 class SearchExhaustedError(RuntimeError):
     """No distance-preserving draw found within the retry budget."""
 
-    def __init__(self, retries: int, best_distance_floor: int | None):
+    def __init__(self, retries: int, best_distance_floor: int):
         self.retries = retries
         self.best_distance_floor = best_distance_floor
         super().__init__(
             f"no distance-preserving path in {retries} retries"
-            + (
-                f" (best failing intermediate had distance {best_distance_floor})"
-                if best_distance_floor is not None
-                else ""
-            )
+            f" (best failing intermediate had distance {best_distance_floor})"
         )
 
 
@@ -146,13 +142,22 @@ class ConversionStep:
 
 @dataclass(frozen=True)
 class ConversionPath:
+    """A path as its first code and steps; intermediates (start followed by
+    the code after each step) are derived on construction, which raises
+    AdjacencyViolationError unless the steps carry the source to the
+    target (see _walk_steps)."""
+
     source: StabilizerCode
     target: StabilizerCode
+    start: StabilizerCode
     steps: tuple[ConversionStep, ...]
-    intermediates: tuple[StabilizerCode, ...]
     ancilla_qubits: tuple[int, ...] = ()
     m: int = 0
     seed: int | None = None
+    intermediates: tuple[StabilizerCode, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "intermediates", _walk_steps(self.start, self.steps, self.source, self.target))
 
     @property
     def n(self) -> int:
@@ -209,22 +214,21 @@ class ConversionPath:
             )
             for s in doc["steps"]
         )
-        start = pauli.code_from_json(doc["intermediates"][0])
         try:
-            intermediates = _walk_steps(start, steps, source, target)
+            path = cls(
+                source=source,
+                target=target,
+                start=pauli.code_from_json(doc["intermediates"][0]),
+                steps=steps,
+                ancilla_qubits=tuple(ancilla),
+                m=m,
+                seed=doc.get("seed"),
+            )
         except AdjacencyViolationError as exc:
             raise PathIntegrityError(str(exc)) from None
-        if [pauli.code_to_json(c) for c in intermediates] != doc["intermediates"]:
+        if [pauli.code_to_json(c) for c in path.intermediates] != doc["intermediates"]:
             raise PathIntegrityError("stored intermediates differ from the codes the steps produce")
-        return cls(
-            source=source,
-            target=target,
-            steps=steps,
-            intermediates=intermediates,
-            ancilla_qubits=tuple(ancilla),
-            m=m,
-            seed=doc.get("seed"),
-        )
+        return path
 
 
 def _is_int(value) -> bool:
@@ -251,6 +255,10 @@ class RewiringConfig:
             raise ValueError("m must be >= 0")
         if self.min_distance < 1:
             raise ValueError("min_distance must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
+        if self.bridge_weight_samples < 0:
+            raise ValueError("bridge_weight_samples must be >= 0")
 
 
 def _padded_gen(g: PauliOp, n_new: int) -> PauliOp:
@@ -366,21 +374,20 @@ def decompose(
     )
 
 
-def randomize(dec: Decomposition, rng: np.random.Generator | Sequence[np.random.Generator]) -> Decomposition:
-    """Draw V, V' and then U, and remix the direct rows:
+def randomize(dec: Decomposition, rngs: Sequence[np.random.Generator]) -> Decomposition:
+    """Draw V, V' and then U from each generator in turn, and remix the
+    direct rows of every draw:
     direct <- U(V . bridged + direct) and
     direct' <- (U^-1)^T (V' . bridged' + direct').
 
     Each new row is a sum of rows of its own group, so the padded groups
     are unchanged, and the commutativity matrix stays the identity, which
-    is checked on every draw.  Given a sequence of generators, each draws
-    in turn, and one product remixes and checks the chunk of draws.
+    one product checks for the whole chunk of draws.  Draw i of the
+    result (see Decomposition.draw) belongs to rngs[i].
     """
-    if isinstance(rng, np.random.Generator):
-        return randomize(dec, [rng]).draw(0)
     _, b, c = dec.counts()
     draws = []
-    for g in rng:  # b = 0 skips V and V': a zero-size draw would leave g as it is
+    for g in rngs:  # b = 0 skips V and V': a zero-size draw would leave g as it is
         v, vp = (gf2.random_matrix(c, b, g), gf2.random_matrix(c, b, g)) if b else (gf2.zeros((c, 0)),) * 2
         draws.append((v, vp, *gf2.random_gl(c, g)))
     v, vp, u, u_inv = (np.stack(block) for block in zip(*draws))
@@ -512,17 +519,12 @@ def _walk_steps(
     return tuple(codes)
 
 
-def build_path(dec: Decomposition) -> ConversionPath:
-    """Emit the exchange sequence and every intermediate code.
+def _exchange_steps(dec: Decomposition) -> tuple[StabilizerCode, tuple[ConversionStep, ...]]:
+    """The first code and the exchange sequence of dec's path.
 
     Each generator takes its sign from the group it lies in (the source
     for the shared, bridged and direct rows, the target for the primed
-    ones); bridges get +1.  Every step is checked for adjacency (the
-    incoming generator must anticommute with the one it replaces and
-    commute with all others); the first and last generator lists must
-    equal the padded source and target as signed groups.  Violations
-    raise AdjacencyViolationError since they indicate an upstream bug
-    rather than bad input.
+    ones); bridges get +1.
     """
     a, b, c = dec.counts()
     if b and dec.bridges is None:
@@ -538,14 +540,21 @@ def build_path(dec: Decomposition) -> ConversionPath:
     for idx, incoming in _exchanges(order, a, bridges, incoming_tgt[:b], incoming_tgt[b:]):
         steps.append(ConversionStep(measure=incoming, correct=gens[idx], replaced_index=idx))
         gens[idx] = incoming
-    return ConversionPath(
-        source=dec.source,
-        target=dec.target,
-        steps=tuple(steps),
-        intermediates=_walk_steps(start, steps, dec.source, dec.target),
-        ancilla_qubits=dec.ancilla_qubits,
-        m=dec.m,
-    )
+    return start, tuple(steps)
+
+
+def build_path(dec: Decomposition) -> ConversionPath:
+    """Emit the exchange sequence and every intermediate code.
+
+    Constructing the path checks every step for adjacency (the incoming
+    generator must anticommute with the one it replaces and commute with
+    all others) and the first and last codes against the padded source
+    and target as signed groups.  Violations raise
+    AdjacencyViolationError since they indicate an upstream bug rather
+    than bad input.
+    """
+    start, steps = _exchange_steps(dec)
+    return ConversionPath(dec.source, dec.target, start, steps, dec.ancilla_qubits, dec.m)
 
 
 @dataclass(frozen=True)
@@ -575,17 +584,12 @@ class DrawScreen:
             order=canonical_step_order(dec),
         )
 
-    def first_failure(self, dec: Decomposition) -> tuple[int, PauliOp] | None:
-        """(failing index, witness) as verify_path reports them for the path
-        dec builds, or None if every intermediate passes."""
-        one = replace(dec, direct_src=dec.direct_src[None], direct_tgt=dec.direct_tgt[None])
-        return next(((r.failing_index, r.witness) for r in self.reject(one, 0)), None)
-
     def reject(self, chunk: Decomposition, start: int) -> list[Rejection]:
-        """A Rejection, with first_failure's index and witness, for each draw
-        of the chunk (draw i is retry start + i) before its first passing
-        one.  One walk serves the chunk: each draw stacks the rows of all
-        blocks, and a step moves a generator slot to another stack row."""
+        """A Rejection for each draw of the chunk (draw i is retry start + i)
+        before its first passing one, with the failing index and witness
+        that verify_path reports for the path the draw builds.  One walk
+        serves the chunk: each draw stacks the rows of all blocks, and a
+        step moves a generator slot to another stack row."""
         a, b = len(chunk.shared), len(chunk.bridged_src)
         count, c, _ = chunk.direct_src.shape
         bridges = chunk.bridges if b else chunk.bridged_src
@@ -627,7 +631,6 @@ class Rejection:
 class SearchResult:
     path: ConversionPath
     retries_used: int
-    rejections: tuple[Rejection, ...]
 
 
 def child_rng(seed: int, retry: int) -> np.random.Generator:
@@ -643,11 +646,6 @@ def draw_chunk(base: Decomposition, config: RewiringConfig, retries: range) -> D
         solved = [solve_bridges(chunk.draw(i), g, config.bridge_weight_samples).bridges for i, g in enumerate(rngs)]
         chunk = replace(chunk, bridges=np.stack(solved))
     return chunk
-
-
-def best_distance_floor(rejections: Sequence[Rejection]) -> int | None:
-    """The largest witness weight among the rejections (None if none)."""
-    return max((r.witness.weight for r in rejections), default=None)
 
 
 def search(
@@ -675,22 +673,24 @@ def search(
     screen = DrawScreen.of(base, config.min_distance)
     _, b, c = base.counts()
     cap = max(1, min(_MAX_CHUNK, _MAX_SYNDROMES // max(1, (3 * b + 2 * c) * len(screen.errors))))
-    rejections: list[Rejection] = []
+    rejected = floor = 0
     size = 1
-    while len(rejections) < config.max_retries:
-        retries = range(len(rejections), min(len(rejections) + size, config.max_retries))
+    while rejected < config.max_retries:
+        retries = range(rejected, min(rejected + size, config.max_retries))
         chunk = draw_chunk(base, config, retries)
         found = screen.reject(chunk, retries.start)
-        rejections += found
+        rejected += len(found)
+        floor = max([floor, *(rej.witness.weight for rej in found)])
         for rej in found if on_reject is not None else ():
             on_reject(rej)
         if len(found) < len(retries):
-            path = build_path(chunk.draw(len(found)))
+            start, steps = _exchange_steps(chunk.draw(len(found)))
+            path = ConversionPath(base.source, base.target, start, steps, ancilla, config.m, config.seed)
             if not analysis.verify_path(path, config.min_distance).ok:
                 raise AdjacencyViolationError("verify_path rejects the draw that passed the row screen")
-            return SearchResult(replace(path, seed=config.seed), len(rejections) + 1, tuple(rejections))
+            return SearchResult(path, rejected + 1)
         size = min(2 * size, cap)
-    raise SearchExhaustedError(config.max_retries, best_distance_floor(rejections))
+    raise SearchExhaustedError(config.max_retries, floor)
 
 
 def _validate_fixture(dec: Decomposition) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stabswitch import analysis, fixtures, gf2, rewiring
+from stabswitch import analysis, catalog, fixtures, gf2, rewiring
 from stabswitch.catalog import PERFECT5, SHOR9, STEANE7
 from stabswitch.pauli import PauliOp
 
@@ -117,6 +117,15 @@ def table_decompositions():
 @pytest.fixture(scope="session")
 def table_paths(table_decompositions):
     return {name: rewiring.build_path(dec) for name, dec in table_decompositions.items()}
+
+
+@pytest.fixture(scope="session")
+def losing_path():
+    """An honest path that loses distance: no remix of the (34) pair keeps
+    distance 3 without ancillas, the unmixed one included.  Its 3 codes
+    include code 1, of distance 1 (witness IIIIIIZ)."""
+    st34 = catalog.perm(STEANE7, "(34)")
+    return rewiring.build_path(rewiring.decompose(*rewiring.pad(STEANE7, st34, 0)))
 
 
 @pytest.fixture(scope="session")

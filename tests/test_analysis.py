@@ -54,21 +54,13 @@ class TestVerifyPath:
         for name in ("table1", "table2", "table3"):
             assert analysis.verify_path(table_paths[name], 3).ok
 
-    def test_failure_reports_index_and_witness(self, table_paths):
-        import dataclasses
-
-        path = table_paths["table1"]
-        weak = StabilizerCode.from_strings(
-            ["ZIIIIII", "IZIIIII", "IIZIIII", "IIIZIII", "IIIIZII", "IIIIIZI"]
-        )
-        bad = dataclasses.replace(
-            path, intermediates=path.intermediates[:3] + (weak,) + path.intermediates[4:]
-        )
-        report = analysis.verify_path(bad, 3)
+    def test_failure_reports_index_and_witness(self, losing_path):
+        assert len(losing_path.intermediates) == 3
+        report = analysis.verify_path(losing_path, 3)
         assert not report.ok
-        assert report.failing_index == 3
-        assert report.witness.weight < 3
-        assert not analysis.detectable(weak, report.witness)
+        assert report.failing_index == 1
+        assert report.witness.to_string() == "IIIIIIZ"
+        assert not analysis.detectable(losing_path.intermediates[1], report.witness)
 
     def test_d1_always_passes(self, table_paths):
         assert analysis.verify_path(table_paths["table2"], 1).ok

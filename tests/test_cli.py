@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stabswitch import catalog, cli, fixtures, rewiring
+from stabswitch import cli, fixtures, rewiring
 
 
 def run(*argv):
@@ -55,6 +55,13 @@ class TestConvert:
     def test_missing_flag_is_usage_error(self):
         assert run("convert", "--from", "steane7") == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [("--retries", "-5"), ("--retries", "0"), ("--bridge-weight-samples", "-4")])
+    def test_out_of_range_search_parameters_are_usage_errors(self, flag, value, capsys):
+        assert run(
+            "convert", "--from", "steane7", "--to", "perfect5", "--min-distance", "3", flag, value
+        ) == cli.EXIT_USAGE
+        assert "must be >=" in capsys.readouterr().err
+
     def test_bad_numeric_parameters_are_usage_errors(self):
         assert run(
             "convert", "--from", "steane7", "--to", "perfect5", "--ancillas", "-1"
@@ -96,13 +103,9 @@ class TestVerify:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("verify", str(tmp_path / "none.json"), "--min-distance", "3") == cli.EXIT_IO
 
-    def test_failing_path(self, tmp_path, capsys):
-        # an honest path that loses distance: no remix of the (34) pair
-        # keeps distance 3 without ancillas, the unmixed one included
-        st34 = catalog.perm(catalog.STEANE7, "(34)")
-        path = rewiring.build_path(rewiring.decompose(*rewiring.pad(catalog.STEANE7, st34, 0)))
+    def test_failing_path(self, losing_path, tmp_path, capsys):
         weak = tmp_path / "weak.json"
-        weak.write_text(json.dumps(path.to_json()))
+        weak.write_text(json.dumps(losing_path.to_json()))
         assert run("verify", str(weak), "--min-distance", "3") == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -146,6 +149,11 @@ class TestSimulate:
             bad.write_text(json.dumps(doc))
             assert run("simulate", str(bad), "--trials", "1") == cli.EXIT_DATA
             assert "malformed path file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    def test_non_positive_trials_are_usage_errors(self, written_path, trials, capsys):
+        assert run("simulate", str(written_path), "--trials", trials) == cli.EXIT_USAGE
+        assert "--trials must be >= 1" in capsys.readouterr().err
 
     def test_trials_pass(self, written_path, capsys):
         assert run("simulate", str(written_path), "--trials", "3", "--seed", "9") == cli.EXIT_OK

@@ -133,7 +133,7 @@ class TestRandomize:
         pa, pb = rewiring.pad(steane7, perfect5, 1)
         dec = rewiring.decompose(pa, pb)
         for seed in range(5):
-            mixed = rewiring.randomize(dec, np.random.default_rng(seed))
+            mixed = rewiring.randomize(dec, [np.random.default_rng(seed)]).draw(0)
             c = len(mixed.direct_src)
             assert np.array_equal(gf2.symplectic_products(mixed.direct_tgt, mixed.direct_src), gf2.identity(c))
             assert all(op is not None for op in _oracle_sign(pa, mixed.direct_src))
@@ -169,13 +169,13 @@ class TestSolveBridges:
         dec = rewiring.decompose(pa, pb)
         assert len(dec.bridged_src) == 1
         for seed in range(5):
-            mixed = rewiring.randomize(dec, np.random.default_rng(seed))
+            mixed = rewiring.randomize(dec, [np.random.default_rng(seed)]).draw(0)
             solved = rewiring.solve_bridges(mixed)
             self.bridge_constraints_hold(solved)
 
     def test_weight_sampling_never_worse(self, steane7, perfect5):
         pa, pb = rewiring.pad(steane7, perfect5, 0)
-        dec = rewiring.randomize(rewiring.decompose(pa, pb), np.random.default_rng(3))
+        dec = rewiring.randomize(rewiring.decompose(pa, pb), [np.random.default_rng(3)]).draw(0)
         plain = rewiring.solve_bridges(dec)
         light = rewiring.solve_bridges(dec, np.random.default_rng(4), weight_samples=64)
         self.bridge_constraints_hold(light)
@@ -220,6 +220,14 @@ class TestBuildPath:
         with pytest.raises(ValueError):
             rewiring.build_path(dec)
 
+    def test_steps_that_do_not_produce_the_codes_are_rejected(self, table_paths):
+        path = table_paths["table1"]
+        forged = rewiring.ConversionStep(
+            measure=PauliOp.from_string("IIIIIIZ"), correct=PauliOp.from_string("IIIIIIX"), replaced_index=1
+        )
+        with pytest.raises(rewiring.AdjacencyViolationError):
+            dataclasses.replace(path, steps=(forged,) + path.steps[1:])
+
 
 class TestSymmetry:
     def test_reversed_build_walks_the_same_groups(self, table_decompositions):
@@ -234,7 +242,7 @@ class TestSymmetry:
     def test_reversed_build_on_randomized_decomposition(self, steane7, perfect5):
         pa, pb = rewiring.pad(steane7, perfect5, 0)
         dec = rewiring.solve_bridges(
-            rewiring.randomize(rewiring.decompose(pa, pb), np.random.default_rng(8))
+            rewiring.randomize(rewiring.decompose(pa, pb), [np.random.default_rng(8)]).draw(0)
         )
         fwd = rewiring.build_path(dec)
         rev = rewiring.build_path(swap_decomposition(dec))
@@ -254,6 +262,24 @@ class TestSearch:
         res = searched_steane_to_five
         assert analysis.verify_path(res.path, 3).ok
         assert res.path.seed == 12345
+
+    def test_path_carries_seed_and_round_trips(self, searched_steane_to_five):
+        path = searched_steane_to_five.path
+        assert path.seed == 12345
+        assert rewiring.ConversionPath.from_json(path.to_json()) == path
+
+    def test_accepted_path_is_walked_once(self, monkeypatch, steane7, perfect5):
+        walks = []
+        walk = rewiring._walk_steps
+
+        def counted(*args):
+            walks.append(len(args[1]))
+            return walk(*args)
+
+        monkeypatch.setattr(rewiring, "_walk_steps", counted)
+        cfg = rewiring.RewiringConfig(m=0, seed=12345, max_retries=2000, min_distance=3)
+        res = rewiring.search(steane7, perfect5, cfg)
+        assert walks == [len(res.path.steps)]
 
     def test_deterministic_given_seed(self, steane7, perfect5, searched_steane_to_five):
         cfg = rewiring.RewiringConfig(m=0, seed=12345, max_retries=2000, min_distance=3)
@@ -435,7 +461,9 @@ def _oracle_build(dec):
         steps.append(rewiring.ConversionStep(measure=op, correct=gens[idx], replaced_index=idx))
         gens[idx] = op
         codes.append(StabilizerCode(n, tuple(gens)))
-    return rewiring.ConversionPath(dec.source, dec.target, tuple(steps), tuple(codes), dec.ancilla_qubits, dec.m)
+    path = rewiring.ConversionPath(dec.source, dec.target, codes[0], tuple(steps), dec.ancilla_qubits, dec.m)
+    assert path.intermediates == tuple(codes)
+    return path
 
 
 def _oracle_search(source, target, cfg):
@@ -487,7 +515,6 @@ def test_search_matches_signed_oracle(src, tgt, m, samples):
             got = (None, exc.best_distance_floor, None)
         else:
             got = (res.retries_used, best, json.dumps(res.path.to_json()))
-            assert [(r.retry, r.failing_index, r.witness.to_string()) for r in res.rejections] == rejections
         assert got == (used, best, doc)
         assert [(r.retry, r.failing_index, r.witness.to_string()) for r in seen] == rejections
         outcomes.add(used is not None)
@@ -514,9 +541,16 @@ def _per_draw_randomize(dec, rng):
     return dataclasses.replace(dec, direct_src=direct_src, direct_tgt=direct_tgt, bridges=None)
 
 
+def _first_failure(screen, dec):
+    """(failing index, witness) of one unstacked draw, by screening it as
+    a chunk of one, or None if every intermediate passes."""
+    one = dataclasses.replace(dec, direct_src=dec.direct_src[None], direct_tgt=dec.direct_tgt[None])
+    return next(((r.failing_index, r.witness) for r in screen.reject(one, 0)), None)
+
+
 def _per_draw_first_failure(screen, dec):
-    """DrawScreen.first_failure as it ran before the chunked walk: one
-    draw, one generator list carried step by step."""
+    """The draw screen as it ran before the chunked walk: one draw, one
+    generator list carried step by step."""
     a = len(dec.shared)
     steps = list(rewiring._exchanges(screen.order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt))
     gens = np.vstack([dec.bridged_src, dec.direct_src, *(inc for _, inc in steps)])
@@ -540,8 +574,8 @@ def _per_draw_first_failure(screen, dec):
 
 
 def _per_draw_search(source, target, cfg):
-    """The retry loop before chunking: randomize, solve_bridges and
-    first_failure one retry at a time.  Returns (rejections, retries used
+    """The retry loop before chunking: randomize, solve_bridges and the
+    draw screen one retry at a time.  Returns (rejections, retries used
     or None, best floor, path JSON or None)."""
     ancilla = rewiring.ancilla_qubits_for(source, target, cfg.m)
     base = rewiring.decompose(*rewiring.pad(source, target, cfg.m), m=cfg.m, ancilla_qubits=ancilla)
@@ -611,7 +645,6 @@ def test_chunked_search_matches_per_draw_loop(monkeypatch, src, tgt, m, samples)
                 got = (None, exc.best_distance_floor, None)
             else:
                 got = (res.retries_used, want[2], json.dumps(res.path.to_json()))
-                assert [(r.retry, r.failing_index, r.witness.to_string()) for r in res.rejections] == want[0]
                 accepted[cap].add(res.retries_used - 1)
             assert got == want[1:]
             assert [(r.retry, r.failing_index, r.witness.to_string()) for r in seen] == want[0]
@@ -628,7 +661,7 @@ def test_chunked_search_matches_per_draw_loop(monkeypatch, src, tgt, m, samples)
 
 @pytest.mark.parametrize("src,tgt,m", [("steane7", "perm(steane7,(34))", 1), ("steane7", "perfect5", 4)])
 def test_randomize_and_screen_match_per_draw_code(src, tgt, m):
-    """Batch-of-one randomize and first_failure against the per-draw code
+    """Batch-of-one randomize and screen against the per-draw code
     on 200 draws: same rows, same generator state afterwards (b = 0 skips
     the empty V and V' draws), same failing index and witness."""
     source, target = catalog.resolve(src), catalog.resolve(tgt)
@@ -637,11 +670,11 @@ def test_randomize_and_screen_match_per_draw_code(src, tgt, m):
     outcomes = set()
     for seed in range(200):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = rewiring.randomize(base, rng), _per_draw_randomize(base, oracle_rng)
+        got, want = rewiring.randomize(base, [rng]).draw(0), _per_draw_randomize(base, oracle_rng)
         assert np.array_equal(got.direct_src, want.direct_src) and np.array_equal(got.direct_tgt, want.direct_tgt)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         dec = rewiring.solve_bridges(got, rng, 2)
-        failure, oracle = screen.first_failure(dec), _per_draw_first_failure(screen, dec)
+        failure, oracle = _first_failure(screen, dec), _per_draw_first_failure(screen, dec)
         assert (failure and (failure[0], failure[1].to_string())) == (oracle and (oracle[0], oracle[1].to_string()))
         outcomes.add(failure is None)
     assert outcomes == ({False} if m < 2 else {False, True})
