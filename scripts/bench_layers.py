@@ -15,7 +15,9 @@ script records:
   source generators against the weight <= d-1 error list, and ms per
   retry of `search` on steane7 -> (34)-steane7 at m=1, which has no
   path and so spends all of its 60 retries, in a child process importing
-  that side's src/;
+  that side's src/.  LAYER_PAIRS parent/change child pairs run, the side
+  that runs first alternating, and each layer keeps every run and each
+  side's quartiles, so machine drift shows up as spread, not as a change;
 - the `bench/run.py` end-to-end metrics of the named workloads, from
   PAIRS parent/change pairs of SECONDS-long runs per seed (the side
   that runs first alternates), with every run and each side's quartiles;
@@ -45,6 +47,7 @@ ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "M
 LAYER_SEED = 3  # steane7 -> rm15 at m=2 with this seed gives a 9-step path
 MIN_BATCH_S = 0.05
 REPEATS = 7
+LAYER_PAIRS = 5  # alternating parent/change layer-timing child pairs
 PAIRS = 10  # alternating parent/change bench/run.py pairs per workload and seed
 SECONDS = 30  # bench/run.py --seconds, the run length BENCHMARK.json sets
 
@@ -162,12 +165,34 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare_workload(parent: Path, workload: str, seed: int) -> dict:
+def alternating_runs(parent: Path, pairs: int, measure):
+    """Pairs of measure(checkout) runs on the parent and the change, the
+    side that runs first alternating; yields the pair index and the runs
+    so far after each pair."""
     runs = {"parent": [], "change": []}
-    for i in range(PAIRS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(bench_run(parent if side == "parent" else ROOT, workload, seed))
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(measure(parent if side == "parent" else ROOT))
+        yield i, runs
+
+
+def compare_layers(parent: Path) -> dict:
+    for i, runs in alternating_runs(parent, LAYER_PAIRS, layers_of):
+        print(f"  layers pair {i + 1}/{LAYER_PAIRS}", flush=True)
+    names = runs["parent"][0]["ms_per_call"]
+    return {
+        "input": runs["parent"][0]["input"],
+        "pairs": LAYER_PAIRS,
+        "ms_per_call": {
+            name: {side: _quartiles([r["ms_per_call"][name] for r in side_runs]) for side, side_runs in runs.items()}
+            for name in names
+        },
+        "runs": {side: [r["ms_per_call"] for r in side_runs] for side, side_runs in runs.items()},
+    }
+
+
+def compare_workload(parent: Path, workload: str, seed: int) -> dict:
+    for i, runs in alternating_runs(parent, PAIRS, lambda checkout: bench_run(checkout, workload, seed)):
         before, after = runs["parent"][-1]["ops_per_s"], runs["change"][-1]["ops_per_s"]
         print(f"  {workload} seed={seed} pair {i + 1}/{PAIRS}: ops_per_s {before:.3f} -> {after:.3f}", flush=True)
     metrics = [k for k in runs["parent"][0] if k not in ("correct", "failed")]
@@ -245,7 +270,7 @@ def main(argv=None) -> int:
         doc["machine"] = machine()
         doc["src_lines"] = {"parent": src_lines(parent), "change": src_lines(ROOT)}
         print("layers ...", flush=True)
-        doc["layers"] = {"parent": layers_of(parent), "change": layers_of(ROOT)}
+        doc["layers"] = compare_layers(parent)
         for workload in args.workloads:
             for seed in args.seeds:
                 doc.setdefault("workloads", {})[f"{workload} seed={seed}"] = compare_workload(parent, workload, seed)

@@ -113,6 +113,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.min_distance < 1:
+        raise UsageError("--min-distance must be >= 1")
     path = _load_path(args.path)
     report = analysis.verify_path(path, args.min_distance)
     print(f"checking {len(path.intermediates)} codes at distance >= {args.min_distance}")
@@ -164,6 +166,8 @@ def _forced_schedule(spec: str | None, steps: int):
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     path = _load_path(args.path)
     forced = _forced_schedule(args.force_outcomes, len(path.steps))
     failures = 0
@@ -179,6 +183,8 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     if args.lemma1 is not None:
         n = args.lemma1
+        if n < 1:
+            raise UsageError("--lemma1 must be >= 1")
         exact = analysis.masking_exact(n)
         bound = (n - 1) / 2**n
         print(f"masking probability, dimension {n}:")

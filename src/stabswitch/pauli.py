@@ -7,6 +7,10 @@ left to right starting at qubit 1, e.g. "-YXXYIZZ".  Multiplication
 tracks the accumulated power of i exactly and only ever exposes
 Hermitian results: multiplying anticommuting operators raises.
 
+All sign arithmetic is phase_exponent under signed_products, which sits
+under every group element and tableau product; PauliOp.__mul__ and
+product are its scalar reference.
+
 A stabilizer code is an ordered list of independent, pairwise commuting
 signed Paulis on n qubits; k = n - (number of generators).
 """
@@ -52,20 +56,33 @@ _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_LETTER = {v: k for k, v in _LETTER_XZ.items()}
 
 
-def phase_exponent(x1, z1, x2, z2) -> int:
+def phase_exponent(x1, z1, x2, z2):
     """Power of i (mod 4) picked up when multiplying the unsigned Paulis
-    (x1|z1) * (x2|z2) written with Hermitian letters."""
-    x1 = np.asarray(x1, dtype=np.int64)
-    z1 = np.asarray(z1, dtype=np.int64)
-    x2 = np.asarray(x2, dtype=np.int64)
-    z2 = np.asarray(z2, dtype=np.int64)
+    (x1|z1) * (x2|z2) written with Hermitian letters.  Sums over the last
+    (qubit) axis and broadcasts over the leading ones."""
+    x1, z1, x2, z2 = (np.asarray(a, dtype=np.int8) for a in (x1, z1, x2, z2))
     # per-qubit exponent: 0 for I; Y gives z2-x2; X gives z2(2x2-1); Z gives x2(1-2z2)
     g = (
         x1 * z1 * (z2 - x2)
         + x1 * (1 - z1) * z2 * (2 * x2 - 1)
         + z1 * (1 - x1) * x2 * (1 - 2 * z2)
     )
-    return int(g.sum()) % 4
+    return g.sum(axis=-1, dtype=np.int64) % 4
+
+
+def signed_products(x, z, r, selection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ordered products of signed rows, all at once: product i multiplies,
+    left to right, the rows (x[j]|z[j]) with sign (-1)^r[j] that
+    selection[i] marks.  A prefix XOR along the factor axis gives each
+    factor the product before it, then one phase sum follows.  Returns
+    each product's x and z parts and its power of i (mod 4): 0 or 2 when
+    Hermitian, odd when the selected rows do not commute."""
+    sel = np.asarray(selection, dtype=bool)[..., None]
+    fx, fz = sel * np.asarray(x, dtype=np.uint8), sel * np.asarray(z, dtype=np.uint8)
+    px, pz = np.bitwise_xor.accumulate(fx, axis=-2), np.bitwise_xor.accumulate(fz, axis=-2)
+    phase = phase_exponent(px ^ fx, pz ^ fz, fx, fz).sum(axis=-1)
+    power = (phase + 2 * (sel[..., 0] & np.asarray(r, dtype=bool)).sum(axis=-1)) % 4
+    return np.bitwise_xor.reduce(fx, axis=-2), np.bitwise_xor.reduce(fz, axis=-2), power
 
 
 @dataclass(frozen=True)
@@ -275,10 +292,9 @@ def group_elements(code: StabilizerCode, rows: np.ndarray) -> list[PauliOp | Non
     rows outside the group): a group never holds -1, so the vector fixes
     the sign."""
     coeffs, inside = gf2.span_coefficients(code.generator_matrix, rows)
-    return [
-        product((code.gens[i] for i in np.nonzero(c)[0]), n=code.n) if ok else None
-        for c, ok in zip(coeffs, inside)
-    ]
+    g, n = code.generator_matrix, code.n
+    x, z, power = signed_products(g[:, :n], g[:, n:], [p.sign < 0 for p in code.gens], coeffs)
+    return [PauliOp(xi, zi, 1 - int(p)) if ok else None for xi, zi, p, ok in zip(x, z, power, inside)]
 
 
 def group_element(code: StabilizerCode, v: np.ndarray) -> PauliOp | None:

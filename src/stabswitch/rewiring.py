@@ -189,7 +189,8 @@ class ConversionPath:
 
         Raises PathIntegrityError when n is not the codes' qubit count, m
         is not an integer >= 0, ancilla_qubits are not distinct qubit
-        indices, a step is not an adjacent exchange, the stored
+        indices on each of which the target group holds a single-qubit Z
+        or X, a step is not an adjacent exchange, the stored
         intermediates differ from the derived ones, or the endpoints do
         not present the source and target signed groups.
         """
@@ -206,6 +207,12 @@ class ConversionPath:
             and len(set(ancilla)) == len(ancilla)
         ):
             raise PathIntegrityError(f"ancilla_qubits must be distinct integers in 0..{n - 1}, got {ancilla!r}")
+        singles = gf2.zeros((2 * len(ancilla), 2 * n))  # Z, then X, on each ancilla qubit
+        singles[np.arange(2 * len(ancilla)), [col for q in ancilla for col in (n + q, q)]] = 1
+        fixed = gf2.span_coefficients(target.generator_matrix, singles)[1].reshape(-1, 2).any(axis=1)
+        if not fixed.all():
+            q = ancilla[fixed.argmin()]
+            raise PathIntegrityError(f"the target fixes no single-qubit Z or X on ancilla qubit {q}")
         steps = tuple(
             ConversionStep(
                 measure=PauliOp.from_string(s["measure"]),
@@ -253,6 +260,8 @@ class RewiringConfig:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("m must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.min_distance < 1:
             raise ValueError("min_distance must be >= 1")
         if self.max_retries < 1:

@@ -10,10 +10,12 @@ The channel for one conversion step is: measure the incoming generator,
 then apply the outgoing generator if the observed eigenvalue differs
 from the incoming generator's declared sign.  run_path folds this over a
 ConversionPath and checks that the final frame is stabilized by the
-target code with its printed signs and that ancilla qubits end
-disentangled.  simulate_trials is the seeded trial loop behind the
-CLI's simulate and reproduce commands: encode a logical eigenstate, run
-the path, and check that the transported logicals still stabilize it.
+target code with its printed signs, which disentangles the ancilla
+qubits too: each one's signed single-qubit stabilizer is in that group.
+Every signed product on the frame is one pauli.signed_products call.
+simulate_trials is the seeded trial loop behind the CLI's simulate and
+reproduce commands: encode a logical eigenstate, run the path, and check
+that the transported logicals still stabilize it.
 inject_and_check lists, for each intermediate, every undetectable error
 of weight <= cap, through analysis.undetectable, the test verify_path
 runs.
@@ -76,36 +78,23 @@ class Tableau:
         r[n:] = [p.sign < 0 for p in stabilizers]
         return cls(n, x, z, r)
 
-    def _anticommute_mask(self, p: PauliOp) -> np.ndarray:
-        """Boolean mask over all 2n rows of anticommutation with p."""
-        return ((self.x @ p.z + self.z @ p.x) % 2).astype(bool)
+    def _anticommute_mask(self, v: np.ndarray) -> np.ndarray:
+        """Boolean mask over all 2n rows of anticommutation with each vector in v."""
+        return ((v[..., self.n :] @ self.x.T + v[..., : self.n] @ self.z.T) % 2).astype(bool)
 
-    def _rowmul(self, i: int, j: int) -> None:
-        """row i <- row j * row i, with exact phase tracking."""
-        ph = pauli.phase_exponent(self.x[j], self.z[j], self.x[i], self.z[i])
-        ph = (ph + 2 * int(self.r[i]) + 2 * int(self.r[j])) % 4
-        if ph % 2:
-            raise StabilizationFailureError(f"rowsum between anticommuting rows {i} and {j}")
-        self.x[i] ^= self.x[j]
-        self.z[i] ^= self.z[j]
-        self.r[i] = ph // 2
-
-    def _deterministic_eigenvalue(self, p: PauliOp) -> int:
-        """Eigenvalue of p's unsigned vector, assuming it is in the group."""
-        sel = np.nonzero(self._anticommute_mask(p)[: self.n])[0]
-        acc_x = gf2.zeros(self.n)
-        acc_z = gf2.zeros(self.n)
-        ph = 0
-        for i in sel:
-            ph = (ph + pauli.phase_exponent(acc_x, acc_z, self.x[self.n + i], self.z[self.n + i])) % 4
-            ph = (ph + 2 * int(self.r[self.n + i])) % 4
-            acc_x ^= self.x[self.n + i]
-            acc_z ^= self.z[self.n + i]
-        if not (np.array_equal(acc_x, p.x) and np.array_equal(acc_z, p.z)):
-            raise ValueError(f"{p} is not in the stabilizer group (up to sign)")
-        if ph % 2:
-            raise StabilizationFailureError(f"stabilizer product for {p} has an imaginary phase")
-        return +1 if ph == 0 else -1
+    def _deterministic_eigenvalues(self, ops: Sequence[PauliOp]) -> np.ndarray:
+        """Eigenvalue (+1 or -1) of each op's unsigned vector in the stabilizer
+        group, 0 for the rest: destabilizer i anticommutes with stabilizer i
+        alone, so the stabilizer rows whose partners anticommute with an op
+        multiply to it exactly when it is in the group."""
+        n = self.n
+        vecs = np.array([p.vector for p in ops], dtype=np.uint8).reshape(len(ops), 2 * n)
+        anti = self._anticommute_mask(vecs)[:, :n]
+        x, z, power = pauli.signed_products(self.x[n:], self.z[n:], self.r[n:], anti)
+        inside = (np.hstack([x, z]) == vecs).all(axis=1)
+        if (power[inside] % 2).any():
+            raise StabilizationFailureError("a stabilizer product has an imaginary phase")
+        return np.where(inside, 1 - power, 0)
 
     def measure(
         self,
@@ -124,10 +113,13 @@ class Tableau:
         """
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        anti = self._anticommute_mask(p)
+        anti = self._anticommute_mask(p.vector)
         anti_stab = np.nonzero(anti[self.n :])[0]
         if anti_stab.size == 0:
-            return self._deterministic_eigenvalue(p)
+            outcome = int(self._deterministic_eigenvalues([p])[0])
+            if not outcome:
+                raise StabilizationFailureError(f"{p} commutes with every stabilizer but is not in the group")
+            return outcome
         piv = self.n + int(anti_stab[0])
         if forced is not None:
             outcome = int(forced)
@@ -137,40 +129,35 @@ class Tableau:
             if rng is None:
                 raise ValueError("random measurement needs an rng (or forced outcome)")
             outcome = +1 if int(rng.integers(0, 2)) == 0 else -1
-        for i in np.nonzero(anti)[0]:
-            # the pivot's destabilizer partner is overwritten below, so its
-            # (meaningless) phase must not trip the hermiticity check
-            if i != piv and i != piv - self.n:
-                self._rowmul(int(i), piv)
-        self.x[piv - self.n] = self.x[piv]
-        self.z[piv - self.n] = self.z[piv]
-        self.r[piv - self.n] = self.r[piv]
-        self.x[piv] = p.x
-        self.z[piv] = p.z
-        self.r[piv] = 0 if outcome > 0 else 1
+        # rowsum: every other anticommuting row becomes pivot * row; the
+        # pivot's destabilizer partner is overwritten below, so its
+        # (meaningless) phase must not trip the hermiticity check
+        rows = np.nonzero(anti)[0]
+        rows = rows[(rows != piv) & (rows != piv - self.n)]
+        factors = np.concatenate([[piv], rows])
+        pivot_first = np.hstack([np.ones((rows.size, 1), dtype=bool), np.eye(rows.size, dtype=bool)])
+        x, z, power = pauli.signed_products(self.x[factors], self.z[factors], self.r[factors], pivot_first)
+        if (power % 2).any():
+            raise StabilizationFailureError(f"rowsum between anticommuting rows {rows[power % 2 == 1]} and {piv}")
+        self.x[rows], self.z[rows], self.r[rows] = x, z, power // 2
+        self.x[piv - self.n], self.z[piv - self.n], self.r[piv - self.n] = self.x[piv], self.z[piv], self.r[piv]
+        self.x[piv], self.z[piv], self.r[piv] = p.x, p.z, 0 if outcome > 0 else 1
         return outcome
 
     def apply_pauli(self, p: PauliOp) -> "Tableau":
         """Conjugate the frame by p: rows anticommuting with p flip sign."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        self.r ^= self._anticommute_mask(p).astype(np.uint8)
+        self.r ^= self._anticommute_mask(p.vector).astype(np.uint8)
         return self
 
     def contains(self, p: PauliOp) -> bool:
         """True iff the signed operator p is exactly in the stabilizer group."""
-        anti = self._anticommute_mask(p)[self.n :]
-        if anti.any():
-            return False
-        try:
-            ev = self._deterministic_eigenvalue(p)
-        except ValueError:
-            return False
-        return ev == p.sign
+        return bool(self._deterministic_eigenvalues([p])[0] == p.sign)
 
     def stabilizes(self, code: StabilizerCode) -> bool:
         """True iff every signed generator of code stabilizes the state."""
-        return all(self.contains(g) for g in code.gens)
+        return bool((self._deterministic_eigenvalues(code.gens) == [g.sign for g in code.gens]).all())
 
 
 @dataclass(frozen=True)
@@ -292,8 +279,10 @@ def run_path(
     `forced`, when given, supplies a per-step outcome override (None
     entries fall back to rng).  `record`, when given, receives one dict
     per step with the outcome and whether the correction fired.  After
-    the last step the frame must be stabilized by the padded target code
-    and every ancilla qubit must be disentangled; a failure raises
+    the last step the frame must be stabilized by the padded target code,
+    which also disentangles every ancilla qubit: its signed single-qubit
+    stabilizer is an element of that group (ConversionPath.from_json
+    rejects ancilla qubits without one).  A failure raises
     StabilizationFailureError since it indicates an adjacency bug.
     """
     if forced is not None and len(forced) != len(path.steps):
@@ -308,12 +297,6 @@ def run_path(
                     "outcome": outcome,
                     "corrected": outcome != step.measure.sign,
                 }
-            )
-    for q in path.ancilla_qubits:
-        single = _ancilla_stabilizer(path.target, q)
-        if not t.contains(single):
-            raise StabilizationFailureError(
-                f"ancilla qubit {q} not disentangled after conversion"
             )
     if not t.stabilizes(path.target):
         raise StabilizationFailureError("final state not stabilized by target code")
@@ -350,21 +333,6 @@ def simulate_trials(
                 continue
             lost = [op for op in outs if not t.contains(op)]
             yield spec, trial, f"logical eigenvalue lost for {lost[-1]}" if lost else None
-
-
-def _ancilla_stabilizer(code: StabilizerCode, q: int) -> PauliOp:
-    """The signed single-qubit stabilizer the code holds on qubit q.
-
-    The letter (Z or X) reflects the ancilla's padding type; the sign is
-    whatever the signed group dictates, so an ancilla pinned to |1> or
-    |-> still counts as disentangled.
-    """
-    rows = gf2.zeros((2, 2 * code.n))
-    rows[[0, 1], [code.n + q, q]] = 1  # Z on q, then X on q
-    for elem in pauli.group_elements(code, rows):
-        if elem is not None:
-            return elem
-    raise ValueError(f"code has no single-qubit stabilizer on qubit {q}")
 
 
 def transport_logicals(frame: LogicalFrame, path) -> LogicalFrame:

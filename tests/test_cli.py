@@ -62,7 +62,7 @@ class TestConvert:
         ) == cli.EXIT_USAGE
         assert "must be >=" in capsys.readouterr().err
 
-    def test_bad_numeric_parameters_are_usage_errors(self):
+    def test_bad_numeric_parameters_are_usage_errors(self, written_path, capsys):
         assert run(
             "convert", "--from", "steane7", "--to", "perfect5", "--ancillas", "-1"
         ) == cli.EXIT_USAGE
@@ -70,6 +70,11 @@ class TestConvert:
             "convert", "--from", "steane7", "--to", "perfect5", "--min-distance", "0"
         ) == cli.EXIT_USAGE
         assert run("bounds", "--n", "7", "--d", "3", "--eps", "0") == cli.EXIT_USAGE
+        assert run("convert", "--from", "steane7", "--to", "perfect5", "--seed", "-1") == cli.EXIT_USAGE
+        assert run("bounds", "--lemma1", "0") == cli.EXIT_USAGE
+        assert run("simulate", str(written_path), "--seed", "-1") == cli.EXIT_USAGE
+        assert run("verify", str(written_path), "--min-distance", "0") == cli.EXIT_USAGE
+        assert "ok (distance >= 0)" not in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,16 @@ class TestSimulate:
             bad.write_text(json.dumps(doc))
             assert run("simulate", str(bad), "--trials", "1") == cli.EXIT_DATA
             assert "malformed path file" in capsys.readouterr().err
+
+    def test_ancilla_without_single_qubit_stabilizer_is_data_error(self, tmp_path, capsys):
+        # once passed verify and crashed simulate with a traceback
+        doc = rewiring.build_path(rewiring.load_fixture_decomposition(fixtures.TABLE1)).to_json()
+        doc["ancilla_qubits"] = [0]
+        bad = tmp_path / "ancilla0.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
+        assert run("simulate", str(bad), "--trials", "1") == cli.EXIT_DATA
+        assert capsys.readouterr().err.count("no single-qubit Z or X on ancilla qubit 0") == 2
 
     @pytest.mark.parametrize("trials", ["-3", "0"])
     def test_non_positive_trials_are_usage_errors(self, written_path, trials, capsys):

@@ -73,6 +73,93 @@ class TestMultiply:
             done += 1
 
 
+def mul_chain(ops, selection, n):
+    """Each selected product by the PauliOp.__mul__ chain, or None where a
+    partial product anticommutes with the next factor."""
+    out = []
+    for row in selection:
+        try:
+            out.append(pauli.product([op for op, bit in zip(ops, row) if bit], n=n))
+        except pauli.NonHermitianProductError:
+            out.append(None)
+    return out
+
+
+def signed_rows(ops, n):
+    """(x, z, r) rows of signed Paulis, with zero rows allowed."""
+    vecs = np.array([op.vector for op in ops], dtype=np.uint8).reshape(len(ops), 2 * n)
+    return vecs[:, :n], vecs[:, n:], np.array([op.sign < 0 for op in ops], dtype=np.uint8)
+
+
+class TestSignedProducts:
+    def test_matches_mul_chain_over_random_selections(self):
+        """Commuting signed rows (random code generators plus signed
+        products of them) under random selections, including none, every
+        row and zero generators."""
+        rng = np.random.default_rng(1206)
+        seen = {"selections": 0, "empty_selection": 0, "full_selection": 0, "no_rows": 0, "no_products": 0,
+                "both_factors_negative": 0}
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            code = pauli.random_stabilizer_code(n, int(rng.integers(0, n + 1)), rng)
+            ops = list(code.gens)
+            for _ in range(int(rng.integers(0, 3)) if ops else 0):
+                coeff = rng.integers(0, 2, len(code.gens))
+                op = pauli.product([g for g, c in zip(code.gens, coeff) if c], n=n)
+                ops.insert(int(rng.integers(0, len(ops) + 1)), PauliOp(op.x, op.z, int(rng.choice([1, -1]))))
+            count = 0 if trial % 25 == 0 else int(rng.integers(1, 9))
+            selection = rng.integers(0, 2, (count, len(ops)), dtype=np.uint8)
+            if count:
+                selection[0] = 0
+                selection[-1] = 1
+            x, z, power = pauli.signed_products(*signed_rows(ops, n), selection)
+            assert x.shape == z.shape == (count, n) and power.shape == (count,)
+            for row, want, xi, zi, p in zip(selection, mul_chain(ops, selection, n), x, z, power):
+                assert PauliOp(xi, zi, 1 - int(p)) == want
+                picked = [op for op, bit in zip(ops, row) if bit]
+                seen["both_factors_negative"] += sum(a.sign < 0 and b.sign < 0 for a, b in zip(picked, picked[1:]))
+                seen["empty_selection"] += not row.any()
+                seen["full_selection"] += bool(ops) and row.all()
+            seen["selections"] += count
+            seen["no_rows"] += not ops
+            seen["no_products"] += not count
+        assert seen["selections"] >= 1000
+        assert min(seen.values()) > 0, seen
+
+    def test_anticommuting_rows_against_dense_oracle(self):
+        """Arbitrary signed rows: the power of i is the one the dense
+        matrix product carries, odd exactly when the product is not
+        Hermitian."""
+        rng = np.random.default_rng(1207)
+        odd = 0
+        for _ in range(150):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(0, 6))
+            ops = [
+                PauliOp(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.choice([1, -1]))) for _ in range(m)
+            ]
+            selection = rng.integers(0, 2, (4, m), dtype=np.uint8)
+            x, z, power = pauli.signed_products(*signed_rows(ops, n), selection)
+            for row, xi, zi, p in zip(selection, x, z, power):
+                want = np.eye(2**n, dtype=complex)
+                for op, bit in zip(ops, row):
+                    if bit:
+                        want = want @ dense_matrix(op)
+                assert np.allclose(want, 1j ** int(p) * dense_matrix(PauliOp(xi, zi)))
+                odd += int(p) % 2
+        assert odd > 0
+
+    def test_phase_exponent_broadcasts(self):
+        rng = np.random.default_rng(1209)
+        a, b = rng.integers(0, 2, (2, 5, 7, 2, 4))
+        got = pauli.phase_exponent(a[..., 0, :], a[..., 1, :], b[..., 0, :], b[..., 1, :])
+        assert got.shape == (5, 7)
+        for i in range(5):
+            for j in range(7):
+                p, q = PauliOp(a[i, j, 0], a[i, j, 1]), PauliOp(b[i, j, 0], b[i, j, 1])
+                prod = PauliOp(p.x ^ q.x, p.z ^ q.z)
+                assert np.allclose(dense_matrix(p) @ dense_matrix(q), 1j ** int(got[i, j]) * dense_matrix(prod))
+
+
 class TestStabilizerCode:
     def test_validation_rejects_anticommuting(self):
         with pytest.raises(pauli.AnticommutingGeneratorsError):

@@ -860,6 +860,8 @@ class TestPathJson:
             ("ancilla_qubits", ["x"], "ancilla_qubits must be distinct integers"),
             ("ancilla_qubits", [5, 5], "ancilla_qubits must be distinct integers"),
             ("ancilla_qubits", 5, "ancilla_qubits must be distinct integers"),
+            ("ancilla_qubits", [0], "the target fixes no single-qubit Z or X on ancilla qubit 0"),
+            ("ancilla_qubits", [6, 4], "the target fixes no single-qubit Z or X on ancilla qubit 4"),
         ],
     )
     def test_rejects_bad_metadata(self, table_paths, key, value, message):
@@ -870,9 +872,9 @@ class TestPathJson:
 
     def test_accepts_valid_metadata(self, table_paths):
         doc = table_paths["table1"].to_json()
-        doc["m"], doc["ancilla_qubits"] = 2, [6, 0]
+        doc["m"], doc["ancilla_qubits"] = 2, [6, 5]
         again = rewiring.ConversionPath.from_json(doc)
-        assert again.m == 2 and again.ancilla_qubits == (6, 0)
+        assert again.m == 2 and again.ancilla_qubits == (6, 5)
 
     def test_schema_keys(self, table_paths):
         doc = table_paths["table3"].to_json()

@@ -92,10 +92,10 @@ def old_syndrome_extractor(t, code):
     rows = np.hstack([t.x, t.z])
     selection = gf2.zeros((len(code.gens), 2 * n))
     for i, g in enumerate(code.gens):
-        selection[i, n:] = t._anticommute_mask(g)[:n]
+        selection[i, n:] = t._anticommute_mask(g.vector)[:n]
         if not np.array_equal(selection[i] @ rows % 2, g.vector):
             raise ValueError("generator not in simulated stabilizer group")
-        if t._deterministic_eigenvalue(g) != g.sign:
+        if old_deterministic_eigenvalue(t, g) != g.sign:
             raise ValueError("simulated state not stabilized with printed signs")
     return selection, rows
 
@@ -285,6 +285,108 @@ class TestMeasure:
             assert t.contains(PauliOp.from_string("X" if forced > 0 else "-X"))
 
 
+def old_rowmul(t, i, j):
+    """row i <- row j * row i: the per-row rowsum measure used to loop over."""
+    ph = pauli.phase_exponent(t.x[j], t.z[j], t.x[i], t.z[i])
+    ph = (ph + 2 * int(t.r[i]) + 2 * int(t.r[j])) % 4
+    if ph % 2:
+        raise tableau.StabilizationFailureError(f"rowsum between anticommuting rows {i} and {j}")
+    t.x[i] ^= t.x[j]
+    t.z[i] ^= t.z[j]
+    t.r[i] = ph // 2
+
+
+def old_deterministic_eigenvalue(t, p):
+    """Eigenvalue of p's unsigned vector by the accumulator loop over the
+    selected stabilizer rows; ValueError if p is outside the group."""
+    sel = np.nonzero(t._anticommute_mask(p.vector)[: t.n])[0]
+    acc_x, acc_z, ph = gf2.zeros(t.n), gf2.zeros(t.n), 0
+    for i in sel:
+        ph = (ph + pauli.phase_exponent(acc_x, acc_z, t.x[t.n + i], t.z[t.n + i])) % 4
+        ph = (ph + 2 * int(t.r[t.n + i])) % 4
+        acc_x ^= t.x[t.n + i]
+        acc_z ^= t.z[t.n + i]
+    if not (np.array_equal(acc_x, p.x) and np.array_equal(acc_z, p.z)):
+        raise ValueError(f"{p} is not in the stabilizer group (up to sign)")
+    if ph % 2:
+        raise tableau.StabilizationFailureError(f"stabilizer product for {p} has an imaginary phase")
+    return +1 if ph == 0 else -1
+
+
+def old_measure(t, p, rng=None, forced=None):
+    anti = t._anticommute_mask(p.vector)
+    anti_stab = np.nonzero(anti[t.n :])[0]
+    if anti_stab.size == 0:
+        return old_deterministic_eigenvalue(t, p)
+    piv = t.n + int(anti_stab[0])
+    outcome = int(forced) if forced is not None else (+1 if int(rng.integers(0, 2)) == 0 else -1)
+    for i in np.nonzero(anti)[0]:
+        if i != piv and i != piv - t.n:
+            old_rowmul(t, int(i), piv)
+    t.x[piv - t.n], t.z[piv - t.n], t.r[piv - t.n] = t.x[piv], t.z[piv], t.r[piv]
+    t.x[piv], t.z[piv], t.r[piv] = p.x, p.z, 0 if outcome > 0 else 1
+    return outcome
+
+
+def old_contains(t, p):
+    if t._anticommute_mask(p.vector)[t.n :].any():
+        return False
+    try:
+        return old_deterministic_eigenvalue(t, p) == p.sign
+    except ValueError:
+        return False
+
+
+def random_pauli(n, rng):
+    return PauliOp(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.choice([1, -1])))
+
+
+def stabilizer_element(t, rng):
+    """A random element of t's stabilizer group up to sign, with a random sign."""
+    coeff = rng.integers(0, 2, t.n).astype(bool)
+    return PauliOp(np.bitwise_xor.reduce(t.x[t.n :][coeff]), np.bitwise_xor.reduce(t.z[t.n :][coeff]),
+                   int(rng.choice([1, -1])))
+
+
+class TestBatchedFrameMatchesRowLoops:
+    def test_measure_contains_stabilizes_match_old_loops(self):
+        """Seeded random states, each under a sequence of measurements with
+        random and forced outcomes: the vectorized rowsum and the batched
+        eigenvalues give the loops' outcomes, the same x, z and r after
+        every step, and the same contains / stabilizes answers."""
+        rng = np.random.default_rng(1210)
+        seen = {"random": 0, "forced": 0, "deterministic": 0, "contained": 0, "stabilized": 0}
+        for _ in range(160):
+            n = int(rng.integers(1, 9))
+            stabs = random_stabilizer_state(n, rng)
+            new = tableau.Tableau.from_stabilizers(stabs)
+            old = tableau.Tableau(n, new.x.copy(), new.z.copy(), new.r.copy())
+            for _ in range(10):
+                p = stabilizer_element(old, rng) if rng.random() < 0.3 else random_pauli(n, rng)
+                forced = None if rng.random() < 0.5 else int(rng.choice([1, -1]))
+                seed = int(rng.integers(2**32))
+                deterministic = not old._anticommute_mask(p.vector)[n:].any()
+                want = old_measure(old, p, np.random.default_rng(seed), forced)
+                assert new.measure(p, np.random.default_rng(seed), forced) == want
+                assert np.array_equal(new.x, old.x) and np.array_equal(new.z, old.z)
+                assert np.array_equal(new.r, old.r)
+                seen["deterministic" if deterministic else "random" if forced is None else "forced"] += 1
+                for q in (p, stabilizer_element(old, rng), random_pauli(n, rng)):
+                    assert new.contains(q) == old_contains(old, q)
+                    seen["contained"] += old_contains(old, q)
+            rows = [PauliOp(x, z, 1 - 2 * int(r)) for x, z, r in zip(old.x[n:], old.z[n:], old.r[n:])]
+            flips = rng.integers(0, 2, n) * (rng.random() < 0.5)
+            codes = [
+                StabilizerCode(n, tuple(PauliOp(g.x, g.z, -g.sign if f else g.sign) for g, f in zip(rows, flips))),
+                pauli.random_stabilizer_code(n, int(rng.integers(0, n)), rng),
+            ]
+            for code in codes:
+                want = all(old_contains(old, g) for g in code.gens)
+                assert new.stabilizes(code) == want
+                seen["stabilized"] += want
+        assert min(seen.values()) > 0, seen
+
+
 class TestApplyPauli:
     def test_identity_no_change(self):
         t = single_qubit_zero()
@@ -403,15 +505,19 @@ class TestSimulateTrials:
 
 class TestInvariantsUnderOptimize:
     def test_rowmul_of_anticommuting_rows_raises_under_python_O(self):
-        """Frame invariants are real exceptions, so `python -O` keeps them."""
+        """Frame invariants are real exceptions, so `python -O` keeps them:
+        a hand-built frame whose stabilizer rows Z1 and X1 anticommute
+        reaches the measurement rowsum with an imaginary phase."""
         script = (
-            "import sys\n"
+            "import numpy as np\n"
             "from stabswitch import tableau\n"
             "from stabswitch.pauli import PauliOp\n"
             "assert False, 'asserts are live'\n"
-            "t = tableau.Tableau.from_stabilizers([PauliOp.from_string('Z')])\n"
+            "x = np.array([[1, 0], [0, 1], [0, 0], [1, 0]], dtype=np.uint8)  # X1, X2 | Z1, X1\n"
+            "z = np.array([[0, 0], [0, 0], [1, 0], [0, 0]], dtype=np.uint8)\n"
+            "t = tableau.Tableau(2, x, z, np.zeros(4, dtype=np.uint8))\n"
             "try:\n"
-            "    t._rowmul(0, 1)\n"
+            "    t.measure(PauliOp.from_string('YI'), forced=+1)\n"
             "except tableau.StabilizationFailureError as exc:\n"
             "    print('raised:', exc)\n"
         )
