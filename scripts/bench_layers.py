@@ -10,7 +10,8 @@ script records:
 
 - ms per call of each layer (pad+decompose, randomize, solve_bridges,
   build_path, verify_path, code_distance, step_subsystem_distance,
-  encode+run_path, inject_and_check) on one fixed seeded steane7 -> rm15
+  encode+run_path, simulate_trials with SIM_TRIALS trials of each of its
+  two states, inject_and_check) on one fixed seeded steane7 -> rm15
   path at m=2 (n=17), of span_coefficients on that pair's padded
   source generators against the weight <= d-1 error list, and ms per
   retry of `search` on steane7 -> (34)-steane7 at m=1, which has no
@@ -45,6 +46,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("reject_loop", "path_checks", "cli_session")
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 LAYER_SEED = 3  # steane7 -> rm15 at m=2 with this seed gives a 9-step path
+SIM_TRIALS = 10  # simulate_trials layer: trials per encoded state (+Z, +X)
 MIN_BATCH_S = 0.05
 REPEATS = 7
 LAYER_PAIRS = 5  # alternating parent/change layer-timing child pairs
@@ -125,6 +127,7 @@ def time_layers() -> dict:
             len(steps),
         ),
         "encode+run_path": (encode_run, 1),
+        "simulate_trials": (lambda: list(tableau.simulate_trials(path, SIM_TRIALS, LAYER_SEED)), 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),
         "span_coefficients": (lambda: gf2.span_coefficients(generators, errs), 1),
         "search": (exhausted_search, search_cfg.max_retries),

@@ -11,6 +11,7 @@ count tallies exactly the cat-to-data controlled Paulis.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .pauli import PauliOp
@@ -18,15 +19,30 @@ from .pauli import PauliOp
 
 @dataclass(frozen=True)
 class Gadget:
-    """One measure-and-correct step compiled to a cat-state gadget."""
+    """One measure-and-correct step compiled to a cat-state gadget; every
+    circuit field is read off the step's two operators."""
 
     step_index: int
     measure: PauliOp
     correct: PauliOp
-    cat_size: int
-    controls: tuple[tuple[int, int, str], ...]  # (cat wire, data qubit, letter)
-    correction_letters: tuple[tuple[int, str], ...]
-    target_sign_bit: int  # 0 for +1, 1 for -1
+
+    @property
+    def cat_size(self) -> int:
+        return self.measure.weight
+
+    @property
+    def controls(self) -> tuple[tuple[int, int, str], ...]:
+        """(cat wire, data qubit, letter), one per qubit of the measured support."""
+        return tuple((wire, q, self.measure.letter(q)) for wire, q in enumerate(self.measure.support))
+
+    @property
+    def correction_letters(self) -> tuple[tuple[int, str], ...]:
+        return tuple((q, self.correct.letter(q)) for q in self.correct.support)
+
+    @property
+    def target_sign_bit(self) -> int:
+        """0 for +1, 1 for -1."""
+        return 0 if self.measure.sign > 0 else 1
 
     def to_json(self) -> dict:
         ops: list[dict] = [{"op": "prepare_cat", "size": self.cat_size}]
@@ -65,55 +81,29 @@ class CircuitBundle:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CircuitBundle":
-        gadgets = []
-        for gdoc in doc["gadgets"]:
-            measure = PauliOp.from_string(gdoc["measure"])
-            ops = gdoc["ops"]
-            controls = tuple(
-                (op["cat"], op["data"], op["letter"]) for op in ops if op["op"] == "cpauli"
-            )
-            cond = next(op for op in ops if op["op"] == "cond_pauli")
-            letters = tuple(sorted((int(q), letter) for q, letter in cond["letters"].items()))
-            correct_str = ["I"] * measure.n
-            for q, letter in letters:
-                correct_str[q] = letter
-            gadgets.append(
-                Gadget(
-                    step_index=gdoc["step"],
-                    measure=measure,
-                    correct=PauliOp.from_string("".join(correct_str)),
-                    cat_size=gdoc["cat_size"],
-                    controls=controls,
-                    correction_letters=letters,
-                    target_sign_bit=cond["target_sign"],
-                )
-            )
+        """Rebuild gadget i from its measured operator and correction
+        letters; raises ValueError unless the rebuilt bundle serializes to
+        exactly the document."""
+        try:
+            gadgets = []
+            for i, gdoc in enumerate(doc["gadgets"]):
+                measure = PauliOp.from_string(gdoc["measure"])
+                cond = next(op for op in gdoc["ops"] if op["op"] == "cond_pauli")
+                correct = ["I"] * measure.n
+                for q, letter in cond["letters"].items():
+                    correct[int(q)] = letter
+                gadgets.append(Gadget(i, measure, PauliOp.from_string("".join(correct))))
+        except (KeyError, TypeError, IndexError, StopIteration, AttributeError) as exc:
+            raise ValueError(f"malformed circuit document: {exc!r}") from None
         bundle = cls(tuple(gadgets))
-        if bundle.total_multiqubit_gates != doc["total_multiqubit_gates"]:
-            raise ValueError("gate count in document disagrees with its gadgets")
+        if json.dumps(bundle.to_json(), sort_keys=True) != json.dumps(doc, sort_keys=True):
+            raise ValueError("circuit document differs from the gadgets its operators compile to")
         return bundle
-
-
-def emit_step(index: int, step) -> Gadget:
-    support = step.measure.support
-    controls = tuple(
-        (wire, qubit, step.measure.letter(qubit)) for wire, qubit in enumerate(support)
-    )
-    letters = tuple((q, step.correct.letter(q)) for q in step.correct.support)
-    return Gadget(
-        step_index=index,
-        measure=step.measure,
-        correct=step.correct,
-        cat_size=len(support),
-        controls=controls,
-        correction_letters=letters,
-        target_sign_bit=0 if step.measure.sign > 0 else 1,
-    )
 
 
 def emit(path) -> CircuitBundle:
     """Compile every step of a path to a gadget, in step order."""
-    return CircuitBundle(tuple(emit_step(i, s) for i, s in enumerate(path.steps)))
+    return CircuitBundle(tuple(Gadget(i, s.measure, s.correct) for i, s in enumerate(path.steps)))
 
 
 def gate_count(path) -> int:

@@ -9,7 +9,11 @@ Hermitian results: multiplying anticommuting operators raises.
 
 All sign arithmetic is phase_exponent under signed_products, which sits
 under every group element and tableau product; PauliOp.__mul__ and
-product are its scalar reference.
+product are its scalar reference.  Signed membership lives in one place,
+span_signs: a vector's coefficients in the generator rows
+(gf2.span_coefficients) and the power of i of their product.  It serves
+group_elements, and through it every code's membership and sign test,
+and the eigenvalues a stabilizer state (tableau.Tableau) reads.
 
 A stabilizer code is an ordered list of independent, pairwise commuting
 signed Paulis on n qubits; k = n - (number of generators).
@@ -287,13 +291,25 @@ def syndrome(code: StabilizerCode, e: PauliOp) -> np.ndarray:
     return gf2.symplectic_products(code.generator_matrix, e.vector)[:, 0]
 
 
+def span_signs(rows, sign_bits, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Signed membership of vectors in the group generated by independent,
+    pairwise commuting signed rows (x|z with sign (-1)^sign_bits): each
+    vector's power of i as a product of the rows (0 or 2, read 1 - power
+    as its sign in the group) and a mask of the vectors in the span.
+    The powers of vectors outside the span mean nothing."""
+    rows = np.atleast_2d(rows)
+    n = rows.shape[1] // 2
+    coeffs, inside = gf2.span_coefficients(rows, vectors)
+    return signed_products(rows[:, :n], rows[:, n:], sign_bits, coeffs)[2], inside
+
+
 def group_elements(code: StabilizerCode, rows: np.ndarray) -> list[PauliOp | None]:
     """The signed group element whose vector is each row of rows (None for
     rows outside the group): a group never holds -1, so the vector fixes
     the sign."""
-    coeffs, inside = gf2.span_coefficients(code.generator_matrix, rows)
-    g, n = code.generator_matrix, code.n
-    x, z, power = signed_products(g[:, :n], g[:, n:], [p.sign < 0 for p in code.gens], coeffs)
+    power, inside = span_signs(code.generator_matrix, [p.sign < 0 for p in code.gens], rows)
+    vectors = np.atleast_2d(rows)
+    x, z = vectors[:, : code.n], vectors[:, code.n :]
     return [PauliOp(xi, zi, 1 - int(p)) if ok else None for xi, zi, p, ok in zip(x, z, power, inside)]
 
 

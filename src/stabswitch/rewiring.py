@@ -188,19 +188,23 @@ class ConversionPath:
         first stored code and the steps.
 
         Raises PathIntegrityError when n is not the codes' qubit count, m
-        is not an integer >= 0, ancilla_qubits are not distinct qubit
-        indices on each of which the target group holds a single-qubit Z
-        or X, a step is not an adjacent exchange, the stored
-        intermediates differ from the derived ones, or the endpoints do
-        not present the source and target signed groups.
+        is not an integer >= 0, the seed is neither null nor an integer
+        >= 0, ancilla_qubits are not distinct qubit indices on each of
+        which the target group holds a single-qubit Z or X, a
+        replaced_index is not an integer, a step is not an adjacent
+        exchange, the stored intermediates differ from the derived ones,
+        or the endpoints do not present the source and target signed
+        groups.
         """
         source = pauli.code_from_json(doc["source"])
         target = pauli.code_from_json(doc["target"])
-        n, m, ancilla = doc["n"], doc.get("m", 0), doc.get("ancilla_qubits", [])
+        n, m, ancilla, seed = doc["n"], doc.get("m", 0), doc.get("ancilla_qubits", []), doc.get("seed")
         if n != source.n:
             raise PathIntegrityError(f"declared n={n!r} but the codes act on {source.n} qubits")
         if not _is_int(m) or m < 0:
             raise PathIntegrityError(f"m must be an integer >= 0, got {m!r}")
+        if seed is not None and not (_is_int(seed) and seed >= 0):
+            raise PathIntegrityError(f"seed must be null or an integer >= 0, got {seed!r}")
         if not (
             isinstance(ancilla, list)
             and all(_is_int(q) and 0 <= q < n for q in ancilla)
@@ -213,11 +217,14 @@ class ConversionPath:
         if not fixed.all():
             q = ancilla[fixed.argmin()]
             raise PathIntegrityError(f"the target fixes no single-qubit Z or X on ancilla qubit {q}")
+        for s in doc["steps"]:
+            if not _is_int(s["replaced_index"]):
+                raise PathIntegrityError(f"replaced_index must be an integer, got {s['replaced_index']!r}")
         steps = tuple(
             ConversionStep(
                 measure=PauliOp.from_string(s["measure"]),
                 correct=PauliOp.from_string(s["correct"]),
-                replaced_index=int(s["replaced_index"]),
+                replaced_index=s["replaced_index"],
             )
             for s in doc["steps"]
         )
@@ -229,7 +236,7 @@ class ConversionPath:
                 steps=steps,
                 ancilla_qubits=tuple(ancilla),
                 m=m,
-                seed=doc.get("seed"),
+                seed=seed,
             )
         except AdjacencyViolationError as exc:
             raise PathIntegrityError(str(exc)) from None
@@ -741,10 +748,10 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     Grammar: '#' comments; 'm = INT'; 'sizes = N1 N2' (original qubit
     counts); 'bridge = PAULI' lines, one per bridged pair in order; and
     row lines 'KIND LEFT RIGHT' with KIND in {A, B, C} giving one
-    generator of each padded code.  Rows are taken verbatim (order
-    included; each printed sign must be the one its group gives the row)
-    and the conversion follows the printed top-to-bottom order, a bridged
-    pair resolving in place via its bridge.  Bridges carry no sign.
+    generator of each padded code.  Rows are taken verbatim (order and
+    signs included: each column's rows are its code's generators) and the
+    conversion follows the printed top-to-bottom order, a bridged pair
+    resolving in place via its bridge.  Bridges carry no sign.
     """
     m = 0
     sizes: tuple[int, int] | None = None
@@ -788,12 +795,6 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     for kind, ls, rs in rows:
         if kind == "A" and PauliOp.from_string(ls) != PauliOp.from_string(rs):
             raise FixtureInvalidError(f"shared row differs between columns: {ls} vs {rs}")
-    # the blocks keep rows only, so the printed signs are checked here; a
-    # shared row equals its right-hand copy and so is checked in both groups
-    for ops, code in ((left, source), (right, target)):
-        for op, elem in zip(ops, pauli.group_elements(code, _rows(ops, n))):
-            if elem != op:
-                raise FixtureInvalidError(f"row {op} is not in its group with that sign")
     for op in bridges:
         if op.sign != +1:
             raise FixtureInvalidError(f"bridge {op} carries a sign; bridges are taken with sign +1")

@@ -1,18 +1,26 @@
 """Stabilizer-state simulation of the measure-and-correct switching channel.
 
-A Tableau keeps the usual destabilizer/stabilizer frame: rows 0..n-1 are
-destabilizers, rows n..2n-1 stabilizers, each row a signed Pauli.  Row i
-of the destabilizer block anticommutes with stabilizer row i and commutes
-with every other row.  Measurements of arbitrary Pauli operators and
-conditional Pauli corrections are performed natively on the frame.
+A Tableau holds an n-qubit stabilizer state as its n signed stabilizer
+rows, the layout of a code's generator matrix and sign bits: a state is
+a stabilizer group with k = 0.  Measurements of arbitrary Pauli
+operators and conditional Pauli corrections are performed natively on
+these rows.
 
 The channel for one conversion step is: measure the incoming generator,
 then apply the outgoing generator if the observed eigenvalue differs
-from the incoming generator's declared sign.  run_path folds this over a
-ConversionPath and checks that the final frame is stabilized by the
-target code with its printed signs, which disentangles the ancilla
-qubits too: each one's signed single-qubit stabilizer is in that group.
-Every signed product on the frame is one pauli.signed_products call.
+from the incoming generator's declared sign.  The incoming generator
+anticommutes with the outgoing one, which stabilizes the state, so
+every switching measurement is random and, as a group, an adjacent
+exchange of the state's own generators: the outcome-signed incoming
+operator replaces the first row it anticommutes with, and every other
+anticommuting row is multiplied by that first row, in one
+pauli.signed_products call.  Deterministic eigenvalues, behind
+contains, stabilizes and the end-of-path check, are read through
+pauli.span_signs, the signed membership test codes use.  run_path folds
+the channel over a ConversionPath and checks that the final state is
+stabilized by the target code with its printed signs, which
+disentangles the ancilla qubits too: each one's signed single-qubit
+stabilizer is in that group.
 simulate_trials is the seeded trial loop behind the CLI's simulate and
 reproduce commands: encode a logical eigenstate, run the path, and check
 that the transported logicals still stabilize it.
@@ -46,7 +54,9 @@ class TransportFailureError(AssertionError):
 
 
 class Tableau:
-    """Mutable stabilizer frame for an n-qubit pure stabilizer state."""
+    """An n-qubit pure stabilizer state as its n signed stabilizer rows:
+    row i is (x[i] | z[i]) with sign (-1)^r[i], and the rows are mutated
+    in place by measurements and Pauli corrections."""
 
     def __init__(self, n: int, x: np.ndarray, z: np.ndarray, r: np.ndarray):
         self.n = n
@@ -56,42 +66,23 @@ class Tableau:
 
     @classmethod
     def from_stabilizers(cls, stabilizers: Sequence[PauliOp]) -> "Tableau":
-        """Build a frame for the state fixed by n independent commuting
-        signed Paulis.  Destabilizers are completed automatically."""
+        """The state fixed by n independent commuting signed Paulis."""
         n = stabilizers[0].n
         if len(stabilizers) != n:
             raise ValueError(f"need exactly {n} stabilizers, got {len(stabilizers)}")
-        code = StabilizerCode(n, tuple(stabilizers))  # validates the set
-        s_mat = code.generator_matrix
-        # S has full rank, so every pivot of [swap_xz(S) | I] falls in the
-        # left block and column i of the right block solves <d, s_j> = delta_ij
-        aug, pivots = gf2.rref(np.hstack([gf2.swap_xz(s_mat), gf2.identity(n)]))
-        destab = gf2.zeros((n, 2 * n))
-        destab[:, pivots] = aug[:, 2 * n :].T
-        # make destabilizers mutually commuting: adding stabilizer i to d_j
-        # (i < j) fixes <d_i, d_j> without disturbing any other product
-        fix = np.triu(gf2.symplectic_products(destab, destab), 1)
-        destab ^= gf2.matmul(fix.T, s_mat)
-        x = np.vstack([destab[:, :n], s_mat[:, :n]])
-        z = np.vstack([destab[:, n:], s_mat[:, n:]])
-        r = gf2.zeros(2 * n)
-        r[n:] = [p.sign < 0 for p in stabilizers]
-        return cls(n, x, z, r)
+        g = StabilizerCode(n, tuple(stabilizers)).generator_matrix  # validates the set
+        r = np.array([p.sign < 0 for p in stabilizers], dtype=np.uint8)
+        return cls(n, g[:, :n].copy(), g[:, n:].copy(), r)
 
     def _anticommute_mask(self, v: np.ndarray) -> np.ndarray:
-        """Boolean mask over all 2n rows of anticommutation with each vector in v."""
+        """Boolean mask over the n rows of anticommutation with each vector in v."""
         return ((v[..., self.n :] @ self.x.T + v[..., : self.n] @ self.z.T) % 2).astype(bool)
 
     def _deterministic_eigenvalues(self, ops: Sequence[PauliOp]) -> np.ndarray:
-        """Eigenvalue (+1 or -1) of each op's unsigned vector in the stabilizer
-        group, 0 for the rest: destabilizer i anticommutes with stabilizer i
-        alone, so the stabilizer rows whose partners anticommute with an op
-        multiply to it exactly when it is in the group."""
-        n = self.n
-        vecs = np.array([p.vector for p in ops], dtype=np.uint8).reshape(len(ops), 2 * n)
-        anti = self._anticommute_mask(vecs)[:, :n]
-        x, z, power = pauli.signed_products(self.x[n:], self.z[n:], self.r[n:], anti)
-        inside = (np.hstack([x, z]) == vecs).all(axis=1)
+        """Eigenvalue (+1 or -1) of each op's unsigned vector in the
+        stabilizer group, 0 for the rest."""
+        vecs = np.array([p.vector for p in ops], dtype=np.uint8).reshape(len(ops), 2 * self.n)
+        power, inside = pauli.span_signs(np.hstack([self.x, self.z]), self.r, vecs)
         if (power[inside] % 2).any():
             raise StabilizationFailureError("a stabilizer product has an imaginary phase")
         return np.where(inside, 1 - power, 0)
@@ -108,19 +99,18 @@ class Tableau:
         caller compares the outcome against whatever sign it expects.  If
         the vector of p is in the stabilizer group the outcome is
         deterministic and the state unchanged; otherwise the outcome is
-        uniformly random (or `forced` if given) and the frame is updated
-        so that the outcome-signed p joins the stabilizer.
+        uniformly random (or `forced` if given) and the outcome-signed p
+        replaces the first row it anticommutes with, after every other
+        such row is multiplied by that first row.
         """
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        anti = self._anticommute_mask(p.vector)
-        anti_stab = np.nonzero(anti[self.n :])[0]
-        if anti_stab.size == 0:
+        anti = np.nonzero(self._anticommute_mask(p.vector))[0]
+        if anti.size == 0:
             outcome = int(self._deterministic_eigenvalues([p])[0])
             if not outcome:
                 raise StabilizationFailureError(f"{p} commutes with every stabilizer but is not in the group")
             return outcome
-        piv = self.n + int(anti_stab[0])
         if forced is not None:
             outcome = int(forced)
             if outcome not in (+1, -1):
@@ -129,18 +119,12 @@ class Tableau:
             if rng is None:
                 raise ValueError("random measurement needs an rng (or forced outcome)")
             outcome = +1 if int(rng.integers(0, 2)) == 0 else -1
-        # rowsum: every other anticommuting row becomes pivot * row; the
-        # pivot's destabilizer partner is overwritten below, so its
-        # (meaningless) phase must not trip the hermiticity check
-        rows = np.nonzero(anti)[0]
-        rows = rows[(rows != piv) & (rows != piv - self.n)]
-        factors = np.concatenate([[piv], rows])
+        piv, rows = anti[0], anti[1:]
         pivot_first = np.hstack([np.ones((rows.size, 1), dtype=bool), np.eye(rows.size, dtype=bool)])
-        x, z, power = pauli.signed_products(self.x[factors], self.z[factors], self.r[factors], pivot_first)
+        x, z, power = pauli.signed_products(self.x[anti], self.z[anti], self.r[anti], pivot_first)
         if (power % 2).any():
             raise StabilizationFailureError(f"rowsum between anticommuting rows {rows[power % 2 == 1]} and {piv}")
         self.x[rows], self.z[rows], self.r[rows] = x, z, power // 2
-        self.x[piv - self.n], self.z[piv - self.n], self.r[piv - self.n] = self.x[piv], self.z[piv], self.r[piv]
         self.x[piv], self.z[piv], self.r[piv] = p.x, p.z, 0 if outcome > 0 else 1
         return outcome
 

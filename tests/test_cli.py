@@ -147,13 +147,17 @@ class TestVerify:
 class TestSimulate:
     def test_bad_metadata_is_data_error(self, written_path, tmp_path, capsys):
         # each of these once crashed simulate with a traceback or loaded silently
-        for key, value in (("ancilla_qubits", [99]), ("ancilla_qubits", ["x"]), ("n", 3), ("m", -5)):
+        # (int() truncated a replaced_index, and any seed was written back)
+        edits = [("ancilla_qubits", [99]), ("ancilla_qubits", ["x"]), ("n", 3), ("m", -5)]
+        edits += [("seed", "abc"), ("seed", -5), ("seed", 1.5), ("replaced_index", 1.7), ("replaced_index", True)]
+        for key, value in edits:
             doc = json.loads(written_path.read_text())
-            doc[key] = value
+            (doc["steps"][0] if key == "replaced_index" else doc)[key] = value
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
+            assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
             assert run("simulate", str(bad), "--trials", "1") == cli.EXIT_DATA
-            assert "malformed path file" in capsys.readouterr().err
+            assert capsys.readouterr().err.count("malformed path file") == 2
 
     def test_ancilla_without_single_qubit_stabilizer_is_data_error(self, tmp_path, capsys):
         # once passed verify and crashed simulate with a traceback

@@ -1,4 +1,7 @@
+import copy
 import json
+
+import pytest
 
 from stabswitch import catalog, gadgets, rewiring
 from stabswitch.pauli import PauliOp, StabilizerCode
@@ -88,3 +91,61 @@ class TestSerialization:
         cond = gadget["ops"][-1]
         assert cond["op"] == "cond_pauli"
         assert cond["condition"] == "parity!=target"
+
+
+def tampered_circuits(doc):
+    """(name, document) pairs, each a copy of an emitted table1 circuit
+    with fields its gadgets' operators do not produce."""
+    cases = []
+
+    def case(name, edit):
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        cases.append((name, bad))
+
+    first = doc["gadgets"][0]
+    support = {op["data"] for op in first["ops"] if op["op"] == "cpauli"}
+    assert 6 not in support
+
+    def cat_sizes(d):  # the total stays 17
+        d["gadgets"][0]["cat_size"], d["gadgets"][1]["cat_size"] = 3, 5
+
+    def control_letter(d):
+        d["gadgets"][0]["ops"][1]["letter"] = "Q"
+
+    def control_outside_support(d):
+        d["gadgets"][0]["ops"][1]["data"] = 6
+
+    def target_sign(d):
+        d["gadgets"][0]["ops"][-1]["target_sign"] = 7
+
+    def all_four(d):
+        for edit in (cat_sizes, control_letter, control_outside_support, target_sign):
+            edit(d)
+
+    for edit in (cat_sizes, control_letter, control_outside_support, target_sign, all_four):
+        case(edit.__name__, edit)
+    case("missing cat_size", lambda d: d["gadgets"][0].pop("cat_size"))
+    case("missing total", lambda d: d.pop("total_multiqubit_gates"))
+    case("missing measure_cat_x", lambda d: d["gadgets"][0]["ops"].pop(-2))
+    case("prepare_cat size", lambda d: d["gadgets"][0]["ops"][0].update(size=5))
+    case("step index", lambda d: d["gadgets"][0].update(step=3))
+    case("bool step index", lambda d: d["gadgets"][1].update(step=True))
+    case("correction letter", lambda d: d["gadgets"][0]["ops"][-1]["letters"].update({"0": "Q"}))
+    case("correction qubit", lambda d: d["gadgets"][0]["ops"][-1]["letters"].update({"99": "X"}))
+    case("no cond_pauli", lambda d: d["gadgets"][0]["ops"].pop(-1))
+    case("no gadgets", lambda d: d.pop("gadgets"))
+    return cases
+
+
+class TestTamperedCircuits:
+    def test_every_tampered_document_raises(self, table_paths):
+        doc = gadgets.emit(table_paths["table1"]).to_json()
+        assert doc["total_multiqubit_gates"] == 17
+        cases = tampered_circuits(doc)
+        assert len(cases) == 15
+        for name, bad in cases:
+            with pytest.raises(ValueError):
+                gadgets.CircuitBundle.from_json(json.loads(json.dumps(bad)))
+        # the untouched document still loads
+        gadgets.CircuitBundle.from_json(json.loads(json.dumps(doc)))

@@ -862,11 +862,22 @@ class TestPathJson:
             ("ancilla_qubits", 5, "ancilla_qubits must be distinct integers"),
             ("ancilla_qubits", [0], "the target fixes no single-qubit Z or X on ancilla qubit 0"),
             ("ancilla_qubits", [6, 4], "the target fixes no single-qubit Z or X on ancilla qubit 4"),
+            ("seed", "abc", "seed must be null or an integer >= 0, got 'abc'"),
+            ("seed", -5, "seed must be null or an integer >= 0"),
+            ("seed", 1.5, "seed must be null or an integer >= 0"),
+            ("seed", True, "seed must be null or an integer >= 0"),
+            (("steps", 0, "replaced_index"), 1.7, "replaced_index must be an integer, got 1.7"),
+            (("steps", 0, "replaced_index"), True, "replaced_index must be an integer, got True"),
+            (("steps", 2, "replaced_index"), "1", "replaced_index must be an integer, got '1'"),
+            (("steps", 4, "replaced_index"), None, "replaced_index must be an integer, got None"),
         ],
     )
     def test_rejects_bad_metadata(self, table_paths, key, value, message):
         def edit(doc):
-            doc[key] = value
+            *outer, last = key if isinstance(key, tuple) else (key,)
+            for k in outer:
+                doc = doc[k]
+            doc[last] = value
 
         assert message in self.tampered(table_paths, edit)
 
@@ -875,6 +886,9 @@ class TestPathJson:
         doc["m"], doc["ancilla_qubits"] = 2, [6, 5]
         again = rewiring.ConversionPath.from_json(doc)
         assert again.m == 2 and again.ancilla_qubits == (6, 5)
+        for seed in (None, 0, 2**63):
+            doc["seed"] = seed
+            assert rewiring.ConversionPath.from_json(doc).to_json()["seed"] == seed
 
     def test_schema_keys(self, table_paths):
         doc = table_paths["table3"].to_json()

@@ -18,8 +18,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def old_from_stabilizers(stabilizers):
-    """Frame (x, z, r) built with one affine solve per destabilizer and a
-    pairwise commuting fix, the loops Tableau.from_stabilizers replaced."""
+    """Destabilizer/stabilizer frame (x, z, r) of 2n rows in the layout of
+    Aaronson and Gottesman (arXiv:quant-ph/0406196): destabilizers in rows
+    0..n-1, by one affine solve each and a pairwise commuting fix, then
+    the signed stabilizers in rows n..2n-1, the oracle for Tableau's n
+    rows."""
     n = stabilizers[0].n
     s_mat = StabilizerCode(n, tuple(stabilizers)).generator_matrix
     a = gf2.swap_xz(s_mat)
@@ -41,6 +44,17 @@ def old_from_stabilizers(stabilizers):
         x[n + i], z[n + i] = p.x, p.z
         r[n + i] = 0 if p.sign > 0 else 1
     return x, z, r
+
+
+def old_frame(stabilizers):
+    """The test-local destabilizer frame of the state the stabilizers fix."""
+    x, z, r = old_from_stabilizers(stabilizers)
+    return types.SimpleNamespace(n=stabilizers[0].n, x=x, z=z, r=r)
+
+
+def old_anticommute_mask(t, v):
+    """Anticommutation of v with each of the 2n rows of an old frame."""
+    return ((v[t.n :] @ t.x.T + v[: t.n] @ t.z.T) % 2).astype(bool)
 
 
 def random_stabilizer_state(n, rng):
@@ -92,7 +106,7 @@ def old_syndrome_extractor(t, code):
     rows = np.hstack([t.x, t.z])
     selection = gf2.zeros((len(code.gens), 2 * n))
     for i, g in enumerate(code.gens):
-        selection[i, n:] = t._anticommute_mask(g.vector)[:n]
+        selection[i, n:] = old_anticommute_mask(t, g.vector)[:n]
         if not np.array_equal(selection[i] @ rows % 2, g.vector):
             raise ValueError("generator not in simulated stabilizer group")
         if old_deterministic_eigenvalue(t, g) != g.sign:
@@ -116,8 +130,8 @@ def old_inject_and_check(path, cap):
             quiet = not (gf2.swap_xz(g).astype(np.int64) @ e.vector % 2).any()
             if quiet and not in_rowspace(g, e.vector):
                 failures.append((idx, e.to_string()))
-        x, z, r = old_from_stabilizers(list(code.gens) + list(old_logical_frame(code).logical_z))
-        selection, rows = old_syndrome_extractor(tableau.Tableau(code.n, x, z, r), code)
+        t = old_frame(list(code.gens) + list(old_logical_frame(code).logical_z))
+        selection, rows = old_syndrome_extractor(t, code)
         rows_form = gf2.swap_xz(rows)
         for e in errors:
             got = selection @ (rows_form @ e.vector % 2) % 2
@@ -185,6 +199,7 @@ class TestEncode:
 
 class TestFromStabilizers:
     def test_matches_per_column_solves(self, steane7, perfect5, shor9):
+        """The n rows are the stabilizer half of the destabilizer frame."""
         rng = np.random.default_rng(31)
         states = [random_stabilizer_state(int(rng.integers(1, 11)), rng) for _ in range(520)]
         for code in (steane7, perfect5, shor9):
@@ -192,10 +207,11 @@ class TestFromStabilizers:
             states.append(list(code.gens) + list(frame.logical_x))
         for stabs in states:
             t = tableau.Tableau.from_stabilizers(stabs)
+            n = len(stabs)
             want_x, want_z, want_r = old_from_stabilizers(stabs)
-            assert np.array_equal(t.x, want_x)
-            assert np.array_equal(t.z, want_z)
-            assert np.array_equal(t.r, want_r)
+            assert np.array_equal(t.x, want_x[n:])
+            assert np.array_equal(t.z, want_z[n:])
+            assert np.array_equal(t.r, want_r[n:])
             assert t.x.dtype == t.z.dtype == t.r.dtype == np.uint8
 
 
@@ -299,7 +315,7 @@ def old_rowmul(t, i, j):
 def old_deterministic_eigenvalue(t, p):
     """Eigenvalue of p's unsigned vector by the accumulator loop over the
     selected stabilizer rows; ValueError if p is outside the group."""
-    sel = np.nonzero(t._anticommute_mask(p.vector)[: t.n])[0]
+    sel = np.nonzero(old_anticommute_mask(t, p.vector)[: t.n])[0]
     acc_x, acc_z, ph = gf2.zeros(t.n), gf2.zeros(t.n), 0
     for i in sel:
         ph = (ph + pauli.phase_exponent(acc_x, acc_z, t.x[t.n + i], t.z[t.n + i])) % 4
@@ -314,7 +330,10 @@ def old_deterministic_eigenvalue(t, p):
 
 
 def old_measure(t, p, rng=None, forced=None):
-    anti = t._anticommute_mask(p.vector)
+    """Measurement on the destabilizer frame: every anticommuting row but
+    the pivot and its destabilizer partner is multiplied by the pivot,
+    the partner takes the pivot's old row and the pivot becomes +-p."""
+    anti = old_anticommute_mask(t, p.vector)
     anti_stab = np.nonzero(anti[t.n :])[0]
     if anti_stab.size == 0:
         return old_deterministic_eigenvalue(t, p)
@@ -329,7 +348,7 @@ def old_measure(t, p, rng=None, forced=None):
 
 
 def old_contains(t, p):
-    if t._anticommute_mask(p.vector)[t.n :].any():
+    if old_anticommute_mask(t, p.vector)[t.n :].any():
         return False
     try:
         return old_deterministic_eigenvalue(t, p) == p.sign
@@ -351,25 +370,25 @@ def stabilizer_element(t, rng):
 class TestBatchedFrameMatchesRowLoops:
     def test_measure_contains_stabilizes_match_old_loops(self):
         """Seeded random states, each under a sequence of measurements with
-        random and forced outcomes: the vectorized rowsum and the batched
-        eigenvalues give the loops' outcomes, the same x, z and r after
-        every step, and the same contains / stabilizes answers."""
+        random and forced outcomes: the n-row frame gives the destabilizer
+        frame's outcomes, x, z and r equal to its stabilizer rows n..2n-1
+        after every step, and the same contains / stabilizes answers."""
         rng = np.random.default_rng(1210)
         seen = {"random": 0, "forced": 0, "deterministic": 0, "contained": 0, "stabilized": 0}
         for _ in range(160):
             n = int(rng.integers(1, 9))
             stabs = random_stabilizer_state(n, rng)
             new = tableau.Tableau.from_stabilizers(stabs)
-            old = tableau.Tableau(n, new.x.copy(), new.z.copy(), new.r.copy())
+            old = old_frame(stabs)
             for _ in range(10):
                 p = stabilizer_element(old, rng) if rng.random() < 0.3 else random_pauli(n, rng)
                 forced = None if rng.random() < 0.5 else int(rng.choice([1, -1]))
                 seed = int(rng.integers(2**32))
-                deterministic = not old._anticommute_mask(p.vector)[n:].any()
+                deterministic = not old_anticommute_mask(old, p.vector)[n:].any()
                 want = old_measure(old, p, np.random.default_rng(seed), forced)
                 assert new.measure(p, np.random.default_rng(seed), forced) == want
-                assert np.array_equal(new.x, old.x) and np.array_equal(new.z, old.z)
-                assert np.array_equal(new.r, old.r)
+                assert np.array_equal(new.x, old.x[n:]) and np.array_equal(new.z, old.z[n:])
+                assert np.array_equal(new.r, old.r[n:])
                 seen["deterministic" if deterministic else "random" if forced is None else "forced"] += 1
                 for q in (p, stabilizer_element(old, rng), random_pauli(n, rng)):
                     assert new.contains(q) == old_contains(old, q)
@@ -506,16 +525,16 @@ class TestSimulateTrials:
 class TestInvariantsUnderOptimize:
     def test_rowmul_of_anticommuting_rows_raises_under_python_O(self):
         """Frame invariants are real exceptions, so `python -O` keeps them:
-        a hand-built frame whose stabilizer rows Z1 and X1 anticommute
-        reaches the measurement rowsum with an imaginary phase."""
+        a hand-built 2-row frame [Z1; X1], whose rows anticommute, reaches
+        the measurement rowsum with an imaginary phase."""
         script = (
             "import numpy as np\n"
             "from stabswitch import tableau\n"
             "from stabswitch.pauli import PauliOp\n"
             "assert False, 'asserts are live'\n"
-            "x = np.array([[1, 0], [0, 1], [0, 0], [1, 0]], dtype=np.uint8)  # X1, X2 | Z1, X1\n"
-            "z = np.array([[0, 0], [0, 0], [1, 0], [0, 0]], dtype=np.uint8)\n"
-            "t = tableau.Tableau(2, x, z, np.zeros(4, dtype=np.uint8))\n"
+            "x = np.array([[0, 0], [1, 0]], dtype=np.uint8)  # Z1, X1\n"
+            "z = np.array([[1, 0], [0, 0]], dtype=np.uint8)\n"
+            "t = tableau.Tableau(2, x, z, np.zeros(2, dtype=np.uint8))\n"
             "try:\n"
             "    t.measure(PauliOp.from_string('YI'), forced=+1)\n"
             "except tableau.StabilizationFailureError as exc:\n"
