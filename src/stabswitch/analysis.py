@@ -8,6 +8,8 @@ exponential in the weight cap and intended for desk-scale codes.  The
 zero-syndrome errors of one weight are tested for group membership all
 at once (gf2.span_coefficients, one elimination per code and weight);
 step_subsystem_distance reads the gauge coefficients off the same call.
+The codes of a path, or of a stack of search draws, are checked by
+exchange_walk instead, which needs no elimination per code.
 
 The failure-probability bound combines a union bound over low-weight
 errors with a Chernoff estimate of their count; see failure_bound for
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +41,11 @@ class DomainError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed its budget."""
 
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_ENUMERATION_BUDGET = 1 << 20  # masking_enumerate's cap on 2^(n^2) matrices
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +86,6 @@ class DistanceReport:
     distance: int
     exact: bool
     witness: PauliOp | None
-    per_weight_counts: dict[int, int]
 
 
 def detectable(code: StabilizerCode, e: PauliOp) -> bool:
@@ -103,12 +105,6 @@ def undetectable(code: StabilizerCode, errs: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _first_logical(code: StabilizerCode, errs: np.ndarray) -> np.ndarray | None:
-    """First row of errs with zero syndrome that is outside the group."""
-    hits = np.nonzero(undetectable(code, errs))[0]
-    return errs[hits[0]] if hits.size else None
-
-
 def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
     """Exact minimum distance if it is <= cap, else a lower bound of cap + 1.
 
@@ -119,14 +115,62 @@ def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
         raise ZeroLogicalQubitsError("distance undefined for k = 0")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    counts: dict[int, int] = {}
     for w in range(1, min(cap, code.n) + 1):
         errs = _errors_at_weight(code.n, w)
-        counts[w] = len(errs)
-        hit = _first_logical(code, errs)
-        if hit is not None:
-            return DistanceReport(w, True, PauliOp.from_vector(hit), counts)
-    return DistanceReport(min(cap, code.n) + 1, False, None, counts)
+        hits = np.flatnonzero(undetectable(code, errs))
+        if hits.size:
+            return DistanceReport(w, True, PauliOp.from_vector(errs[hits[0]]))
+    return DistanceReport(min(cap, code.n) + 1, False, None)
+
+
+def logical_basis(g: np.ndarray) -> np.ndarray:
+    """Rows completing the generator rows g to a basis of their normalizer.
+
+    An error commuting with every row of g lies outside the group exactly
+    when it anticommutes with one of these logical operators.
+    """
+    return gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g)))
+
+
+def exchange_walk(
+    rows: np.ndarray,
+    live: Sequence[int],
+    exchanges: Sequence[tuple[int, int]],
+    logicals: np.ndarray,
+    errors: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Undetectable errors of a code and of each code its exchanges reach.
+
+    rows (..., R, 2n) holds one stack of rows per leading index (one per
+    draw of a search chunk); generator slot i of the first code holds row
+    live[i], exchange (slot, row) puts row in that slot, and logicals is
+    a logical_basis of the first code.  Yields, for the first code and
+    after each exchange, the (..., E) mask of the errors commuting with
+    every live generator but anticommuting with a carried logical.  The
+    logicals anticommuting with an incoming row take on the outgoing
+    one, so all syndromes come from one product over rows and errors.
+    """
+    swapped = gf2.swap_xz(rows)
+    syn = gf2.matmul(swapped, errors.T)
+    slots = list(live)
+    logicals = np.broadcast_to(logicals, (*rows.shape[:-2], *logicals.shape)).copy()
+    log_syn = gf2.matmul(gf2.swap_xz(logicals), errors.T)
+    for slot, row in exchanges:
+        yield log_syn.any(axis=-2) & ~syn[..., slots, :].any(axis=-2)
+        out, slots[slot] = slots[slot], row
+        flip = gf2.matmul(logicals, swapped[..., row, :, None])
+        logicals ^= flip & rows[..., None, out, :]
+        log_syn ^= flip & syn[..., None, out, :]
+    yield log_syn.any(axis=-2) & ~syn[..., slots, :].any(axis=-2)
+
+
+def path_walk(path, errors: np.ndarray) -> Iterator[np.ndarray]:
+    """exchange_walk over a path's intermediates: the generators of
+    path.start, then one row per step's measured operator."""
+    g = path.start.generator_matrix
+    rows = np.vstack([g, *(step.measure.vector for step in path.steps)])
+    exchanges = [(step.replaced_index, len(g) + j) for j, step in enumerate(path.steps)]
+    return exchange_walk(rows, range(len(g)), exchanges, logical_basis(g), errors)
 
 
 @dataclass(frozen=True)
@@ -145,14 +189,12 @@ def verify_path(path, d: int) -> PathReport:
     """
     reports: list[DistanceReport] = []
     errs = error_vectors(path.n, d - 1)
-    for idx, code in enumerate(path.intermediates):
-        hit = _first_logical(code, errs)
-        if hit is not None:
-            w = int((hit[: path.n] | hit[path.n :]).sum())
-            witness = PauliOp.from_vector(hit)
-            reports.append(DistanceReport(w, True, witness, {}))
+    for idx, bad in enumerate(path_walk(path, errs)):
+        if bad.any():
+            witness = PauliOp.from_vector(errs[bad.argmax()])
+            reports.append(DistanceReport(witness.weight, True, witness))
             return PathReport(False, idx, witness, tuple(reports))
-        reports.append(DistanceReport(d, False, None, {}))
+        reports.append(DistanceReport(d, False, None))
     return PathReport(True, None, None, tuple(reports))
 
 
@@ -308,20 +350,20 @@ def _order_stats(mats: np.ndarray, invs: np.ndarray, v: np.ndarray, w: np.ndarra
     return last < first
 
 
-def masking_enumerate(n: int, v, w, budget: int = 1 << 20) -> Fraction:
+def masking_enumerate(n: int, v, w) -> Fraction:
     """Exact masking probability by enumerating all of GL(F2, n).
 
     Filters every n x n bit matrix through an invertibility check, so it
-    raises InfeasibleError once 2^(n^2) exceeds the budget (n <= 4 by
-    default).
+    raises InfeasibleError once 2^(n^2) exceeds _ENUMERATION_BUDGET
+    (n <= 4).
     """
     v = gf2.asbits(v)
     w = gf2.asbits(w)
     if not v.any() or not w.any():
         raise ValueError("v and w must be nonzero")
     total = 1 << (n * n)
-    if total > budget:
-        raise InfeasibleError(f"2^(n^2) = {total} matrices exceeds budget {budget}")
+    if total > _ENUMERATION_BUDGET:
+        raise InfeasibleError(f"2^(n^2) = {total} matrices exceeds budget {_ENUMERATION_BUDGET}")
     bits = ((np.arange(total)[:, None] >> np.arange(n * n)[None, :]) & 1).astype(np.uint8)
     mats = bits.reshape(total, n, n)
     invs, ok = gf2.batch_invert(mats)

@@ -373,10 +373,10 @@ def code_from_json(doc: dict) -> StabilizerCode:
     except (TypeError, KeyError):
         raise CodeFormatError("JSON code needs a 'generators' list") from None
     code = StabilizerCode.from_strings(gens)
-    if "n" in doc and doc["n"] != code.n:
-        raise WrongLengthError(f"declared n={doc['n']} but strings have n={code.n}")
-    if "k" in doc and doc["k"] != code.k:
-        raise WrongLengthError(f"declared k={doc['k']} but inferred k={code.k}")
+    for key, inferred in (("n", code.n), ("k", code.k)):
+        # type() rejects true and 7.0, which compare equal to 1 and 7
+        if key in doc and (type(doc[key]) is not int or doc[key] != inferred):
+            raise WrongLengthError(f"declared {key}={doc[key]!r} but inferred {key}={inferred}")
     return code
 
 

@@ -18,13 +18,15 @@ the outgoing one on a sign mismatch):
   4. solve_bridges- for every bridged pair pick an auxiliary operator
                     anticommuting with both ends and commuting with
                     everything else still in play.
-  5. build_path   - emit the exchange sequence and all intermediate
-                    codes, each step checked for adjacency and both
-                    endpoints checked as signed groups.
+  5. build_path   - emit the exchanges of the decomposition's plan and
+                    all intermediate codes, each step checked for
+                    adjacency and both endpoints checked as signed
+                    groups.
   6. search       - repeat 3-4 with fresh child seeds, in chunks of
                     retries screened at once for the distance check
-                    (DrawScreen); the lowest passing retry, whatever the
-                    chunking, is built and re-checked by verify_path.
+                    (DrawScreen, one analysis.exchange_walk over the
+                    chunk's rows); the lowest passing retry, whatever
+                    the chunking, is built and re-checked by verify_path.
 
 A Decomposition holds its blocks as GF(2) row matrices only.  Every
 row except a bridge lies in the padded source or target group, and a
@@ -84,8 +86,6 @@ class SearchExhaustedError(RuntimeError):
         )
 
 
-StepOrder = tuple[tuple[str, int], ...]
-
 # search screens <= _MAX_CHUNK retries at once, fewer if their syndromes would pass _MAX_SYNDROMES bits
 _MAX_CHUNK = 64
 _MAX_SYNDROMES = 1 << 16
@@ -99,10 +99,11 @@ class Decomposition:
     shared rows belong to both groups (with equal signs); bridged rows of
     one group normalize the other; the direct blocks satisfy
     <direct_tgt[i], direct_src[j]> = delta_ij after normalization.
-    bridges holds one auxiliary row per bridged pair once solved.
-    step_order, when set, overrides the canonical exchange order (used by
-    fixtures that prescribe their own printed order).  A chunk of draws
-    (see randomize) stacks its direct blocks and bridges, one per draw.
+    bridges holds one auxiliary row per bridged pair once solved.  plan
+    lists the exchanges as (slot, incoming row) pairs: slots index the
+    generators [shared; bridged_src; direct_src], incoming rows index
+    [bridges; bridged_tgt; direct_tgt].  A chunk of draws (see randomize)
+    stacks its direct blocks and bridges, one per draw.
     """
 
     source: StabilizerCode
@@ -114,8 +115,8 @@ class Decomposition:
     bridged_tgt: np.ndarray
     direct_src: np.ndarray
     direct_tgt: np.ndarray
+    plan: tuple[tuple[int, int], ...]
     bridges: np.ndarray | None = None
-    step_order: StepOrder | None = None
 
     @property
     def padded_n(self) -> int:
@@ -187,10 +188,10 @@ class ConversionPath:
         """Parse a path document, re-deriving intermediates 1..L from the
         first stored code and the steps.
 
-        Raises PathIntegrityError when n is not the codes' qubit count, m
-        is not an integer >= 0, the seed is neither null nor an integer
-        >= 0, ancilla_qubits are not distinct qubit indices on each of
-        which the target group holds a single-qubit Z or X, a
+        Raises PathIntegrityError when n is not the codes' qubit count as
+        an integer, m is not an integer >= 0, the seed is neither null nor
+        an integer >= 0, ancilla_qubits are not distinct qubit indices on
+        each of which the target group holds a single-qubit Z or X, a
         replaced_index is not an integer, a step is not an adjacent
         exchange, the stored intermediates differ from the derived ones,
         or the endpoints do not present the source and target signed
@@ -199,7 +200,7 @@ class ConversionPath:
         source = pauli.code_from_json(doc["source"])
         target = pauli.code_from_json(doc["target"])
         n, m, ancilla, seed = doc["n"], doc.get("m", 0), doc.get("ancilla_qubits", []), doc.get("seed")
-        if n != source.n:
+        if not _is_int(n) or n != source.n:
             raise PathIntegrityError(f"declared n={n!r} but the codes act on {source.n} qubits")
         if not _is_int(m) or m < 0:
             raise PathIntegrityError(f"m must be an integer >= 0, got {m!r}")
@@ -377,6 +378,10 @@ def decompose(
             raise SignMismatchError(
                 f"shared stabilizer {op} has sign {other.sign:+d} in the target group"
             )
+    a, b, c = len(ga), len(gb), len(gc)
+    # bridged pairs move to their bridges, the direct block swaps over, then the bridges resolve in reverse
+    plan = [(a + i, i) for i in range(b)] + [(a + b + i, 2 * b + i) for i in range(c)]
+    plan += [(a + i, b + i) for i in reversed(range(b))]
     return Decomposition(
         source=source,
         target=target,
@@ -387,6 +392,7 @@ def decompose(
         bridged_tgt=gbp,
         direct_src=gc,
         direct_tgt=gcp,
+        plan=tuple(plan),
     )
 
 
@@ -470,37 +476,6 @@ def solve_bridges(
     return replace(dec, bridges=solved)
 
 
-def canonical_step_order(dec: Decomposition) -> StepOrder:
-    """Bridged pairs move to their bridges, the direct block swaps over,
-    then the bridges resolve to the target side in reverse order."""
-    b = len(dec.bridged_src)
-    c = len(dec.direct_src)
-    order = [("bridge_in", i) for i in range(b)]
-    order += [("direct", i) for i in range(c)]
-    order += [("bridge_out", i) for i in reversed(range(b))]
-    return tuple(order)
-
-
-def _exchanges(order: StepOrder, a: int, bridges, bridged_tgt, direct_tgt):
-    """(replaced index, incoming generator) for each step of order, in a
-    generator list laid out as shared, bridged, direct.  The blocks may be
-    sequences of signed Paulis, GF(2) row matrices or stack row indices."""
-    b = len(bridged_tgt)
-    seen_in: set[int] = set()
-    for kind, i in order:
-        if kind == "bridge_in":
-            seen_in.add(i)
-            yield a + i, bridges[i]
-        elif kind == "direct":
-            yield a + b + i, direct_tgt[i]
-        elif kind == "bridge_out":
-            if i not in seen_in:
-                raise ValueError(f"step order resolves bridge {i} before introducing it")
-            yield a + i, bridged_tgt[i]
-        else:
-            raise ValueError(f"unknown step kind {kind!r}")
-
-
 def _walk_steps(
     start: StabilizerCode,
     steps: Sequence[ConversionStep],
@@ -542,20 +517,20 @@ def _exchange_steps(dec: Decomposition) -> tuple[StabilizerCode, tuple[Conversio
     for the shared, bridged and direct rows, the target for the primed
     ones); bridges get +1.
     """
-    a, b, c = dec.counts()
+    b = len(dec.bridged_src)
     if b and dec.bridges is None:
         raise ValueError("decomposition has bridged pairs but no bridges; run solve_bridges")
     gens = pauli.group_elements(dec.source, np.vstack([dec.shared, dec.bridged_src, dec.direct_src]))
-    incoming_tgt = pauli.group_elements(dec.target, np.vstack([dec.bridged_tgt, dec.direct_tgt]))
-    if any(op is None for op in gens + incoming_tgt):
+    incoming = pauli.group_elements(dec.target, np.vstack([dec.bridged_tgt, dec.direct_tgt]))
+    if any(op is None for op in gens + incoming):
         raise AdjacencyViolationError("a decomposition row is outside its group")
-    bridges = [PauliOp.from_vector(v) for v in dec.bridges] if b else []
+    if b:
+        incoming = [PauliOp.from_vector(v) for v in dec.bridges] + incoming
     start = StabilizerCode(dec.padded_n, tuple(gens))
-    order = dec.step_order if dec.step_order is not None else canonical_step_order(dec)
     steps: list[ConversionStep] = []
-    for idx, incoming in _exchanges(order, a, bridges, incoming_tgt[:b], incoming_tgt[b:]):
-        steps.append(ConversionStep(measure=incoming, correct=gens[idx], replaced_index=idx))
-        gens[idx] = incoming
+    for idx, row in dec.plan:
+        steps.append(ConversionStep(measure=incoming[row], correct=gens[idx], replaced_index=idx))
+        gens[idx] = incoming[row]
     return start, tuple(steps)
 
 
@@ -578,59 +553,41 @@ class DrawScreen:
     """Per-search tables that run verify_path's check on a draw's rows.
 
     errors are the weight < d error vectors that commute with the shared
-    block, in analysis.error_vectors order; logicals is a basis of the
-    padded source's normalizer modulo its group.  A quiet error (one
-    commuting with every generator) lies outside the group exactly when
-    it anticommutes with a logical, and each step carries the logicals
-    along by multiplying those that anticommute with the incoming
-    generator by the outgoing one.
+    block, in analysis.error_vectors order; logicals is an
+    analysis.logical_basis of the padded source's generators.  Shared
+    rows take no part in an exchange and every screened error commutes
+    with them, so the screen walks only the other blocks.
     """
 
     errors: np.ndarray
     logicals: np.ndarray
-    order: StepOrder
 
     @classmethod
     def of(cls, dec: Decomposition, d: int) -> "DrawScreen":
-        g = dec.source.generator_matrix
         errs = analysis.error_vectors(dec.padded_n, d - 1)
         return cls(
             errors=gf2.commuting_rows(dec.shared, errs),
-            logicals=gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g))),
-            order=canonical_step_order(dec),
+            logicals=analysis.logical_basis(dec.source.generator_matrix),
         )
 
     def reject(self, chunk: Decomposition, start: int) -> list[Rejection]:
         """A Rejection for each draw of the chunk (draw i is retry start + i)
         before its first passing one, with the failing index and witness
-        that verify_path reports for the path the draw builds.  One walk
-        serves the chunk: each draw stacks the rows of all blocks, and a
-        step moves a generator slot to another stack row."""
+        that verify_path reports for the path the draw builds, from one
+        analysis.exchange_walk over the chunk's stacked non-shared rows."""
         a, b = len(chunk.shared), len(chunk.bridged_src)
         count, c, _ = chunk.direct_src.shape
         bridges = chunk.bridges if b else chunk.bridged_src
         blocks = (chunk.bridged_src, chunk.direct_src, bridges, chunk.bridged_tgt, chunk.direct_tgt)
         rows = np.concatenate([np.broadcast_to(x, (count, *x.shape[-2:])) for x in blocks], axis=1)
-        swapped = gf2.swap_xz(rows)
-        syn = gf2.matmul(swapped, self.errors.T)
-        slots = list(range(b + c))  # the stack row each non-shared generator slot holds
-        incoming = np.split(np.arange(b + c, 3 * b + 2 * c), [b, 2 * b])  # rows of bridges, bridged', direct'
-        steps = list(_exchanges(self.order, a, *incoming))
-        logicals = np.repeat(self.logicals[None], count, axis=0)
-        log_syn = gf2.matmul(gf2.swap_xz(logicals), self.errors.T)
+        exchanges = [(slot - a, b + c + row) for slot, row in chunk.plan]
         failing, witness = np.full(count, -1), np.zeros(count, dtype=int)
-        for j in range(len(steps) + 1):
-            bad = log_syn.any(axis=1) & ~syn[:, slots].any(axis=1)
+        for j, bad in enumerate(analysis.exchange_walk(rows, range(b + c), exchanges, self.logicals, self.errors)):
             new = bad.any(axis=1) & (failing < 0)
-            if new.any():
+            if new.any():  # argmax raises on the empty rows d = 1 leaves (no error columns)
                 failing[new], witness[new] = j, bad[new].argmax(axis=1)
-            if j == len(steps) or (failing >= 0).all():
+            if (failing >= 0).all():
                 break
-            idx, row = steps[j]
-            out, slots[idx - a] = slots[idx - a], row
-            flip = gf2.matmul(logicals, swapped[:, row, :, None])
-            logicals ^= flip & rows[:, None, out]
-            log_syn ^= flip & syn[:, None, out]
         stop = next(iter(np.flatnonzero(failing < 0)), count)
         ops = {w: PauliOp.from_vector(self.errors[w]) for w in set(witness[:stop].tolist())}
         return [Rejection(start + i, int(failing[i]), ops[witness[i]]) for i in range(stop)]
@@ -802,16 +759,12 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     def block(kind: str, column: list[PauliOp]) -> np.ndarray:
         return _rows([op for (k, _, _), op in zip(rows, column) if k == kind], n)
 
-    order: list[tuple[str, int]] = []
-    bi = ci = 0
-    for kind, _, _ in rows:
-        if kind == "C":
-            order.append(("direct", ci))
-            ci += 1
-        elif kind == "B":
-            order.append(("bridge_in", bi))
-            order.append(("bridge_out", bi))
-            bi += 1
+    kinds = [k for k, _, _ in rows]
+    a, b = kinds.count("A"), kinds.count("B")
+    plan: list[tuple[int, int]] = []  # the i-th B row moves to bridge i and on to bridged' row i
+    for j, kind in enumerate(kinds):
+        i = kinds[:j].count(kind)
+        plan += {"A": [], "B": [(a + i, i), (a + i, b + i)], "C": [(a + b + i, 2 * b + i)]}[kind]
     dec = Decomposition(
         source=source,
         target=target,
@@ -822,8 +775,8 @@ def load_fixture_decomposition(text: str) -> Decomposition:
         bridged_tgt=block("B", right),
         direct_src=block("C", left),
         direct_tgt=block("C", right),
+        plan=tuple(plan),
         bridges=_rows(bridges, n),
-        step_order=tuple(order),
     )
     _validate_fixture(dec)
     return dec

@@ -25,8 +25,7 @@ simulate_trials is the seeded trial loop behind the CLI's simulate and
 reproduce commands: encode a logical eigenstate, run the path, and check
 that the transported logicals still stabilize it.
 inject_and_check lists, for each intermediate, every undetectable error
-of weight <= cap, through analysis.undetectable, the test verify_path
-runs.
+of weight <= cap, from the analysis.path_walk that verify_path runs.
 """
 
 from __future__ import annotations
@@ -357,13 +356,15 @@ def inject_and_check(path, error_weight_cap: int) -> InjectionReport:
     """List every undetectable Pauli error of weight <= cap on each
     intermediate code, as (intermediate index, error) in enumeration order.
 
-    No syndrome readout is simulated, so `syndrome_mismatches` is always 0.
+    Keeps every hit of verify_path's analysis.path_walk.  No syndrome
+    readout is simulated, so `syndrome_mismatches` is always 0.
     """
     vectors = analysis.error_vectors(path.n, error_weight_cap)
-    failures = []
-    for idx, code in enumerate(path.intermediates):
-        hidden = np.nonzero(analysis.undetectable(code, vectors))[0]
-        failures += [(idx, PauliOp.from_vector(vectors[i])) for i in hidden]
+    failures = [
+        (idx, PauliOp.from_vector(vectors[i]))
+        for idx, bad in enumerate(analysis.path_walk(path, vectors))
+        for i in np.flatnonzero(bad)
+    ]
     return InjectionReport(
         ok=not failures,
         failures=tuple(failures),

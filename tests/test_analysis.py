@@ -73,6 +73,90 @@ class TestVerifyPath:
                 assert analysis.detectable(code, PauliOp.from_vector(v))
 
 
+def walk_rows(path):
+    """The rows path_walk stacks: path.start's generators, then one
+    measured operator per step."""
+    return np.vstack([path.start.generator_matrix, *(s.measure.vector for s in path.steps)])
+
+
+class TestExchangeWalk:
+    """exchange_walk's masks against analysis.undetectable on every code
+    the walk reaches."""
+
+    def test_zero_exchanges_is_the_membership_test(self, steane7, perfect5, losing_path):
+        rng = np.random.default_rng(4)
+        codes = [steane7, perfect5, losing_path.intermediates[1], StabilizerCode(1, ())]
+        codes += [pauli.random_stabilizer_code(6, k, rng) for k in (1, 2, 3)]
+        for code in codes:
+            g = code.generator_matrix
+            errs = analysis.error_vectors(code.n, min(3, code.n))
+            masks = list(analysis.exchange_walk(g, range(len(g)), [], analysis.logical_basis(g), errs))
+            assert len(masks) == 1
+            assert np.array_equal(masks[0], analysis.undetectable(code, errs))
+
+    def test_random_exchange_sequences(self):
+        """Random walks that exchange the same slots again and again, so an
+        outgoing generator may anticommute with a later incoming one."""
+        rng = np.random.default_rng(9)
+        hits = 0
+        for trial in range(40):
+            n = 5
+            code = pauli.random_stabilizer_code(n, 1 + trial % 2, rng)
+            g = code.generator_matrix
+            rows, slots, exchanges, codes = list(g), list(range(len(g))), [], [code]
+            for _ in range(6):
+                slot = int(rng.integers(len(g)))
+                rhs = (np.arange(len(g)) == slot).astype(np.uint8)
+                x0, ker = gf2.solve_affine(gf2.swap_xz(np.array([rows[s] for s in slots])), rhs)
+                exchanges.append((slot, len(rows)))
+                slots[slot] = len(rows)
+                rows.append(((x0 + rng.integers(0, 2, len(ker)) @ ker) % 2).astype(np.uint8))
+                codes.append(StabilizerCode(n, tuple(PauliOp.from_vector(rows[s]) for s in slots)))
+            errs = analysis.error_vectors(n, 3)
+            walk = analysis.exchange_walk(np.array(rows), range(len(g)), exchanges, analysis.logical_basis(g), errs)
+            for mask, c in zip(walk, codes, strict=True):
+                want = analysis.undetectable(c, errs)
+                assert np.array_equal(mask, want)
+                hits += int(want.sum())
+        assert hits > 0
+
+    def test_zero_error_rows(self, table_paths, steane7, perfect5):
+        # min_distance = 1 screens no error at all: every draw passes
+        path = table_paths["table2"]
+        errs = analysis.error_vectors(path.n, 0)
+        rows, g = walk_rows(path), path.start.generator_matrix
+        exchanges = [(s.replaced_index, len(g) + j) for j, s in enumerate(path.steps)]
+        for stack in (rows, np.stack([rows, rows])):
+            masks = list(analysis.exchange_walk(stack, range(len(g)), exchanges, analysis.logical_basis(g), errs))
+            assert [m.shape for m in masks] == [stack.shape[:-2] + (0,)] * len(path.intermediates)
+        assert analysis.verify_path(path, 1).ok
+        base = rewiring.decompose(*rewiring.pad(steane7, perfect5, 0))
+        chunk = rewiring.draw_chunk(base, rewiring.RewiringConfig(), range(3))
+        assert rewiring.DrawScreen.of(base, 1).reject(chunk, 0) == []
+
+    def test_two_draws_failing_at_different_steps(self, steane7, perfect5):
+        base = rewiring.decompose(*rewiring.pad(steane7, perfect5, 0))
+        paths = [
+            rewiring.build_path(rewiring.solve_bridges(rewiring.randomize(base, [np.random.default_rng(s)]).draw(0)))
+            for s in range(12)
+        ]
+        first = [analysis.verify_path(p, 3).failing_index for p in paths]
+        i = next(i for i, f in enumerate(first) if f is not None)
+        j = next(j for j, f in enumerate(first) if f not in (None, first[i]))
+        pair = (paths[i], paths[j])
+        g = pair[0].start.generator_matrix
+        exchanges = [(s.replaced_index, len(g) + k) for k, s in enumerate(pair[0].steps)]
+        assert exchanges == [(s.replaced_index, len(g) + k) for k, s in enumerate(pair[1].steps)]
+        errs = analysis.error_vectors(base.padded_n, 2)
+        rows = np.stack([walk_rows(p) for p in pair])
+        masks = list(analysis.exchange_walk(rows, range(len(g)), exchanges, analysis.logical_basis(g), errs))
+        assert len(masks) == len(pair[0].intermediates)
+        for step, mask in enumerate(masks):
+            for draw, path in enumerate(pair):
+                assert np.array_equal(mask[draw], analysis.undetectable(path.intermediates[step], errs))
+        assert [next(k for k, m in enumerate(masks) if m[draw].any()) for draw in (0, 1)] == [first[i], first[j]]
+
+
 @pytest.fixture(scope="module")
 def checked_paths(table_paths, searched_steane_to_five, steane7, perfect5, shor9):
     """The three fixtures, four searched paths and one path that loses

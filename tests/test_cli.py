@@ -150,9 +150,13 @@ class TestSimulate:
         # (int() truncated a replaced_index, and any seed was written back)
         edits = [("ancilla_qubits", [99]), ("ancilla_qubits", ["x"]), ("n", 3), ("m", -5)]
         edits += [("seed", "abc"), ("seed", -5), ("seed", 1.5), ("replaced_index", 1.7), ("replaced_index", True)]
+        # a float n once exited 65 with an internal message; k = true on every code passed verify
+        edits += [("n", 7.0), ("n", True), ("k", True)]
         for key, value in edits:
             doc = json.loads(written_path.read_text())
-            (doc["steps"][0] if key == "replaced_index" else doc)[key] = value
+            owners = {"replaced_index": [doc["steps"][0]], "k": [doc["source"], doc["target"], *doc["intermediates"]]}
+            for owner in owners.get(key, [doc]):
+                owner[key] = value
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
             assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA

@@ -337,6 +337,13 @@ class TestCodeFormat:
         with pytest.raises(pauli.WrongLengthError):
             pauli.code_from_json({"n": 9, "generators": ["ZZ"]})
 
+    @pytest.mark.parametrize("key,value", [("k", True), ("k", 1.0), ("n", 7.0), ("n", True), ("n", "7")])
+    def test_json_sizes_must_be_integers(self, steane7, key, value):
+        doc = pauli.code_to_json(steane7)
+        doc[key] = value
+        with pytest.raises(pauli.CodeFormatError, match=f"declared {key}={value!r}"):
+            pauli.code_from_json(doc)
+
     def test_wrong_length(self):
         with pytest.raises(pauli.WrongLengthError):
             pauli.parse_code("XX\nXXX")

@@ -21,18 +21,18 @@ def swap_decomposition(dec: rewiring.Decomposition) -> rewiring.Decomposition:
 
     Building the swapped decomposition walks the identical set of
     intermediate groups in the opposite direction (the direct blocks are
-    reversed to keep the pairing matrix the identity).  Ancilla metadata
-    is dropped: the swap exists to exercise the symmetry property, not to
-    drive a simulation.
+    reversed to keep the pairing matrix the identity, and the plan runs
+    backwards: a bridge's two exchanges trade places and direct slot i
+    becomes slot c - 1 - i).  Ancilla metadata is dropped: the swap
+    exists to exercise the symmetry property, not to drive a simulation.
     """
-    order = None
-    if dec.step_order is not None:
-        c = len(dec.direct_src)
-        flip = {"bridge_in": "bridge_out", "bridge_out": "bridge_in", "direct": "direct"}
-        order = tuple(
-            (flip[kind], c - 1 - i if kind == "direct" else i)
-            for kind, i in reversed(dec.step_order)
-        )
+    a, b, c = dec.counts()
+
+    def mirror(slot, row):
+        if row >= 2 * b:  # a direct exchange
+            return 2 * (a + b) + c - 1 - slot, 4 * b + c - 1 - row
+        return slot, (row + b) % (2 * b)
+
     return dataclasses.replace(
         dec,
         source=dec.target,
@@ -42,7 +42,7 @@ def swap_decomposition(dec: rewiring.Decomposition) -> rewiring.Decomposition:
         bridged_tgt=dec.bridged_src,
         direct_src=dec.direct_tgt[::-1],
         direct_tgt=dec.direct_src[::-1],
-        step_order=order,
+        plan=tuple(mirror(*step) for step in reversed(dec.plan)),
     )
 
 
@@ -120,6 +120,13 @@ class TestDecompose:
         ):
             assert all(op is not None for op in _oracle_sign(code, rows))
         assert _oracle_sign(pa, dec.shared) == _oracle_sign(pb, dec.shared)
+
+    def test_canonical_plan(self, steane7, perfect5):
+        dec = rewiring.decompose(*rewiring.pad(steane7, perfect5, 0))
+        assert dec.counts() == (0, 1, 5)
+        # slot 0 takes bridge 0 (row 0), slots 1..5 take direct' rows 2..6,
+        # then slot 0 takes bridged' row 1
+        assert dec.plan == ((0, 0), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 1))
 
     def test_sign_mismatch_detected(self):
         plus = StabilizerCode.from_strings(["ZZ", "XX"])
@@ -552,7 +559,8 @@ def _per_draw_first_failure(screen, dec):
     """The draw screen as it ran before the chunked walk: one draw, one
     generator list carried step by step."""
     a = len(dec.shared)
-    steps = list(rewiring._exchanges(screen.order, a, dec.bridges, dec.bridged_tgt, dec.direct_tgt))
+    incoming = np.vstack([dec.bridges, dec.bridged_tgt, dec.direct_tgt])
+    steps = [(idx, incoming[row]) for idx, row in dec.plan]
     gens = np.vstack([dec.bridged_src, dec.direct_src, *(inc for _, inc in steps)])
     syn = gf2.symplectic_products(gens, screen.errors)
     live = len(gens) - len(steps)
@@ -758,6 +766,13 @@ class TestFixtures:
         assert prod.to_string() == "IIIIIIIXX"
         assert np.array_equal(dec.bridges, [prod.vector])
 
+    def test_table2_plan_follows_printed_rows(self, table_decompositions):
+        dec = table_decompositions["table2"]
+        assert dec.counts() == (2, 1, 5)
+        # a C row (slot 3 takes direct' row 2), the B row (slot 2 takes the
+        # bridge, row 0, then bridged' row 1), then four C rows
+        assert dec.plan == ((3, 2), (2, 0), (2, 1), (4, 3), (5, 4), (6, 5), (7, 6))
+
     def test_table3_shared_rows(self, table_decompositions):
         dec = table_decompositions["table3"]
         assert len(dec.shared) == 4
@@ -870,6 +885,8 @@ class TestPathJson:
             (("steps", 0, "replaced_index"), True, "replaced_index must be an integer, got True"),
             (("steps", 2, "replaced_index"), "1", "replaced_index must be an integer, got '1'"),
             (("steps", 4, "replaced_index"), None, "replaced_index must be an integer, got None"),
+            ("n", 7.0, "declared n=7.0"),
+            ("n", True, "declared n=True"),
         ],
     )
     def test_rejects_bad_metadata(self, table_paths, key, value, message):
@@ -880,6 +897,14 @@ class TestPathJson:
             doc[last] = value
 
         assert message in self.tampered(table_paths, edit)
+
+    @pytest.mark.parametrize("key,value", [("k", True), ("k", 1.0), ("n", 7.0), ("n", True)])
+    def test_rejects_non_integer_code_sizes(self, table_paths, key, value):
+        doc = json.loads(json.dumps(table_paths["table1"].to_json()))
+        for code in [doc["source"], doc["target"], *doc["intermediates"]]:
+            code[key] = value
+        with pytest.raises(pauli.CodeFormatError, match=f"declared {key}={value!r}"):
+            rewiring.ConversionPath.from_json(doc)
 
     def test_accepts_valid_metadata(self, table_paths):
         doc = table_paths["table1"].to_json()

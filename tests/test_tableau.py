@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stabswitch
-from conftest import in_rowspace
+from conftest import in_rowspace, old_verify_path
 from stabswitch import analysis, catalog, gf2, pauli, rewiring, tableau
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -620,6 +620,28 @@ class TestBatchedInjectionMatchesPerErrorLoop:
     def test_weakened_intermediate(self, losing_path):
         got = assert_injection_matches_old(losing_path, 2)
         assert not got[0] and got[1]
+
+
+def test_path_walk_matches_per_error_loops_on_150_searched_paths(steane7, perfect5):
+    """verify_path at d = 2..4 and inject_and_check against the per-error
+    loops on 150 searched paths over three pairs with and without bridged
+    pairs.  Every other path is the first draw (min_distance 1), which
+    usually loses distance, so failing walks are compared too: the first
+    draws' injections at cap 2, the others' at cap 1."""
+    st34 = catalog.perm(steane7, "(34)")
+    failing = set()
+    for src, tgt, m in ((steane7, perfect5, 0), (perfect5, steane7, 0), (steane7, st34, 2)):
+        for seed in range(50):
+            cfg = rewiring.RewiringConfig(m=m, seed=seed, max_retries=2000, min_distance=3 if seed % 2 else 1)
+            path = rewiring.search(src, tgt, cfg).path
+            for d in (2, 3, 4):
+                report = analysis.verify_path(path, d)
+                assert (report.failing_index, report.witness) == old_verify_path(path, d)
+                if not report.ok and d == 3:
+                    failing.add(report.failing_index)
+            assert_injection_matches_old(path, 1 if seed % 2 else 2)
+    # first draws fail at several intermediates, not only the first exchange
+    assert len(failing) >= 3
 
 
 class TestInjectAndCheck:
