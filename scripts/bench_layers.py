@@ -12,10 +12,10 @@ script records:
   build_path, verify_path, code_distance, step_subsystem_distance,
   encode+run_path, simulate_trials with SIM_TRIALS trials of each of its
   two states, inject_and_check) on one fixed seeded steane7 -> rm15
-  path at m=2 (n=17), of span_coefficients on that pair's padded
-  source generators against the weight <= d-1 error list, and ms per
-  retry of `search` on steane7 -> (34)-steane7 at m=1, which has no
-  path and so spends all of its 60 retries, in a child process importing
+  path at m=2 (n=17), of undetectable on that pair's padded source
+  code against the weight <= d-1 error list, and ms per retry of
+  `search` on steane7 -> (34)-steane7 at m=1, which has no path and so
+  spends all of its 60 retries, in a child process importing
   that side's src/.  LAYER_PAIRS parent/change child pairs run, the side
   that runs first alternating, and each layer keeps every run and each
   side's quartiles, so machine drift shows up as spread, not as a change;
@@ -77,7 +77,7 @@ def time_layers() -> dict:
     """ms per call of each layer, for the stabswitch found on sys.path."""
     import numpy as np
 
-    from stabswitch import analysis, catalog, gf2, rewiring, tableau
+    from stabswitch import analysis, catalog, rewiring, tableau
 
     src = catalog.resolve("steane7")
     tgt = catalog.resolve(str(ROOT / "bench" / "codes" / "rm15.txt"))
@@ -97,7 +97,7 @@ def time_layers() -> dict:
     drawn = rewiring.randomize(base, [rng()]).draw(0)
     dec = rewiring.solve_bridges(drawn, rng(), cfg.bridge_weight_samples)
     frame = tableau.logical_frame(path.source)
-    generators = rewiring.pad(src, tgt, m)[0].generator_matrix
+    padded_source = rewiring.pad(src, tgt, m)[0]
     errs = analysis.error_vectors(path.n, d - 1)
     codes, steps = path.intermediates, path.steps
 
@@ -129,7 +129,7 @@ def time_layers() -> dict:
         "encode+run_path": (encode_run, 1),
         "simulate_trials": (lambda: list(tableau.simulate_trials(path, SIM_TRIALS, LAYER_SEED)), 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),
-        "span_coefficients": (lambda: gf2.span_coefficients(generators, errs), 1),
+        "undetectable": (lambda: analysis.undetectable(padded_source, errs), 1),
         "search": (exhausted_search, search_cfg.max_retries),
     }
     return {

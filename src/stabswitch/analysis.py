@@ -2,14 +2,15 @@
 
 Minimum distances are computed by exhaustive enumeration: Pauli errors
 are listed weight by weight (supports in lexicographic order, letters
-X < Y < Z per position), and the first element of the syndrome-map
-kernel that falls outside the stabilizer group is the witness.  This is
-exponential in the weight cap and intended for desk-scale codes.  The
-zero-syndrome errors of one weight are tested for group membership all
-at once (gf2.span_coefficients, one elimination per code and weight);
-step_subsystem_distance reads the gauge coefficients off the same call.
-The codes of a path, or of a stack of search draws, are checked by
-exchange_walk instead, which needs no elimination per code.
+X < Y < Z per position), and the first undetectable one is the witness.
+This is exponential in the weight cap and intended for desk-scale codes.
+An error is undetectable when it commutes with every generator and
+anticommutes with a row of StabilizerCode.logical_basis; every check
+reads that off syndromes, with no group-membership elimination.
+undetectable tests one code, exchange_walk every code a sequence of
+exchanges reaches (a path, or a stack of search draws) from one product,
+and step_subsystem_distance a step's gauge group, whose logicals are
+transported across the step.
 
 The failure-probability bound combines a union bound over low-weight
 errors with a Chernoff estimate of their count; see failure_bound for
@@ -45,7 +46,7 @@ class InfeasibleError(ValueError):
 
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_ENUMERATION_BUDGET = 1 << 20  # masking_enumerate's cap on 2^(n^2) matrices
+_ENUMERATION_LOG2_BUDGET = 20  # masking_enumerate's cap on log2 of its 2^(n^2) matrices
 
 
 @lru_cache(maxsize=None)
@@ -95,13 +96,11 @@ def detectable(code: StabilizerCode, e: PauliOp) -> bool:
 
 
 def undetectable(code: StabilizerCode, errs: np.ndarray) -> np.ndarray:
-    """Mask of the rows of errs that have zero syndrome yet lie outside
-    the stabilizer group (vector level, signs ignored)."""
-    g = code.generator_matrix
-    quiet = ~gf2.symplectic_products(g, errs).any(axis=0)
-    mask = np.zeros(len(quiet), dtype=bool)
-    if quiet.any():  # most error lists have no quiet row: skip the eliminations
-        mask[quiet] = ~gf2.span_coefficients(g, errs[quiet])[1]
+    """Mask of the rows of errs with zero syndrome that anticommute with a
+    row of code.logical_basis: they lie outside the group (signs ignored)."""
+    quiet = np.flatnonzero(~gf2.symplectic_products(code.generator_matrix, errs).any(axis=0))
+    mask = np.zeros(len(errs), dtype=bool)
+    mask[quiet] = gf2.symplectic_products(code.logical_basis, errs[quiet]).any(axis=0)
     return mask
 
 
@@ -123,15 +122,6 @@ def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
     return DistanceReport(min(cap, code.n) + 1, False, None)
 
 
-def logical_basis(g: np.ndarray) -> np.ndarray:
-    """Rows completing the generator rows g to a basis of their normalizer.
-
-    An error commuting with every row of g lies outside the group exactly
-    when it anticommutes with one of these logical operators.
-    """
-    return gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g)))
-
-
 def exchange_walk(
     rows: np.ndarray,
     live: Sequence[int],
@@ -144,7 +134,7 @@ def exchange_walk(
     rows (..., R, 2n) holds one stack of rows per leading index (one per
     draw of a search chunk); generator slot i of the first code holds row
     live[i], exchange (slot, row) puts row in that slot, and logicals is
-    a logical_basis of the first code.  Yields, for the first code and
+    the first code's logical_basis.  Yields, for the first code and
     after each exchange, the (..., E) mask of the errors commuting with
     every live generator but anticommuting with a carried logical.  The
     logicals anticommuting with an incoming row take on the outgoing
@@ -170,7 +160,7 @@ def path_walk(path, errors: np.ndarray) -> Iterator[np.ndarray]:
     g = path.start.generator_matrix
     rows = np.vstack([g, *(step.measure.vector for step in path.steps)])
     exchanges = [(step.replaced_index, len(g) + j) for j, step in enumerate(path.steps)]
-    return exchange_walk(rows, range(len(g)), exchanges, logical_basis(g), errors)
+    return exchange_walk(rows, range(len(g)), exchanges, path.start.logical_basis, errors)
 
 
 @dataclass(frozen=True)
@@ -227,35 +217,36 @@ def classify_error(e: PauliOp, s: StabilizerCode, sp: StabilizerCode) -> ErrorCl
     return ErrorClass.OTHER
 
 
-def step_subsystem_distance(pre_code: StabilizerCode, step) -> int | None:
+def step_subsystem_distance(pre_code: StabilizerCode, step) -> int:
     """Minimum weight of a dressed logical operator for one conversion step.
 
-    The two exchanged generators act as gauge operators; the remaining
-    generators form the stabilizer.  A dressed logical commutes with the
-    stabilizer but is not a product of stabilizer elements with at most
-    one of the gauge operators (a product involving both would be
-    anti-Hermitian, hence not a Pauli error).  Returns None if no such
-    operator exists below weight n (possible only for k = 0).
+    The replaced generator out and the measured one in act as gauge
+    operators; the other generators form the stabilizer.  A dressed
+    logical commutes with the stabilizer but is not a product of
+    stabilizer elements with at most one gauge operator (a product with
+    both is anti-Hermitian, not a Pauli error): it anticommutes with a
+    logical transported across the step, L ^ <L, in> out, or with both
+    out and in, as out * in does, which bounds the value by its weight.
 
     A step is t-fault-tolerant precisely when this value is >= 2t + 1.
     """
     idx = step.replaced_index
     if not 0 <= idx < len(pre_code.gens):
         raise ValueError("replaced_index out of range")
-    outgoing = pre_code.gens[idx]
-    if not np.array_equal(outgoing.vector, step.correct.vector):
+    g, in_ = pre_code.generator_matrix, step.measure.vector
+    out, rest = g[idx], np.delete(g, idx, axis=0)
+    if not np.array_equal(out, step.correct.vector):
         raise ValueError("step.correct does not match the replaced generator")
-    if gf2.symplectic_product(outgoing.vector, step.measure.vector) != 1:
+    if gf2.symplectic_product(out, in_) != 1 or gf2.symplectic_products(rest, in_).any():
         raise ValueError("step is not adjacent to pre_code")
-    rest = [g.vector for g in pre_code.gens if g is not outgoing]
-    rest_mat = np.array(rest, dtype=np.uint8).reshape(len(rest), 2 * pre_code.n)
-    gauge = np.vstack([rest_mat, outgoing.vector.reshape(1, -1), step.measure.vector.reshape(1, -1)])
-    for w in range(1, pre_code.n + 1):
-        quiet = gf2.commuting_rows(rest_mat, _errors_at_weight(pre_code.n, w))
-        coeffs, inside = gf2.span_coefficients(gauge, quiet)
-        if (~inside | (coeffs[:, -1] & coeffs[:, -2]).astype(bool)).any():
+    logicals = pre_code.logical_basis
+    probes = np.vstack([out, in_, logicals ^ np.outer(gf2.symplectic_products(logicals, in_), out)])
+    bound = PauliOp.from_vector(out ^ in_).weight
+    for w in range(1, bound):
+        syn = gf2.symplectic_products(probes, gf2.commuting_rows(rest, _errors_at_weight(pre_code.n, w)))
+        if (syn[2:].any(axis=0) | (syn[0] & syn[1])).any():
             return w
-    return None
+    return bound
 
 
 class BoundResult(NamedTuple):
@@ -354,16 +345,15 @@ def masking_enumerate(n: int, v, w) -> Fraction:
     """Exact masking probability by enumerating all of GL(F2, n).
 
     Filters every n x n bit matrix through an invertibility check, so it
-    raises InfeasibleError once 2^(n^2) exceeds _ENUMERATION_BUDGET
-    (n <= 4).
+    raises InfeasibleError once n^2 > _ENUMERATION_LOG2_BUDGET (n > 4).
     """
     v = gf2.asbits(v)
     w = gf2.asbits(w)
     if not v.any() or not w.any():
         raise ValueError("v and w must be nonzero")
+    if n * n > _ENUMERATION_LOG2_BUDGET:
+        raise InfeasibleError(f"2^{n * n} matrices exceeds budget 2^{_ENUMERATION_LOG2_BUDGET}")
     total = 1 << (n * n)
-    if total > _ENUMERATION_BUDGET:
-        raise InfeasibleError(f"2^(n^2) = {total} matrices exceeds budget {_ENUMERATION_BUDGET}")
     bits = ((np.arange(total)[:, None] >> np.arange(n * n)[None, :]) & 1).astype(np.uint8)
     mats = bits.reshape(total, n, n)
     invs, ok = gf2.batch_invert(mats)

@@ -127,12 +127,9 @@ def cmd_verify(args) -> int:
         print("per-step gauge diagnostics:")
         for i, step in enumerate(path.steps):
             dist = analysis.step_subsystem_distance(path.intermediates[i], step)
-            if dist is None:
-                print(f"  step {i}: no dressed operator below weight n")
-            else:
-                t = (dist - 1) // 2
-                flag = f"{t}-fault-tolerant" if t >= 1 else "not fault-tolerant"
-                print(f"  step {i}: dressed distance {dist} ({flag})")
+            t = (dist - 1) // 2
+            flag = f"{t}-fault-tolerant" if t >= 1 else "not fault-tolerant"
+            print(f"  step {i}: dressed distance {dist} ({flag})")
     if report.ok:
         print("all intermediate codes pass")
         return EXIT_OK
@@ -181,10 +178,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.lemma1 is not None and args.lemma1 < 1:
+        raise UsageError("--lemma1 must be >= 1")
+    if args.n is not None:  # validated before anything is printed
+        if args.d is None or args.eps is None:
+            raise UsageError("--n needs --d and --eps")
+        try:
+            limit = analysis.min_ancilla(args.n, args.d, args.eps)
+        except (analysis.DomainError, ValueError) as exc:
+            raise UsageError(str(exc)) from None
     if args.lemma1 is not None:
         n = args.lemma1
-        if n < 1:
-            raise UsageError("--lemma1 must be >= 1")
         exact = analysis.masking_exact(n)
         bound = (n - 1) / 2**n
         print(f"masking probability, dimension {n}:")
@@ -205,13 +209,7 @@ def cmd_bounds(args) -> int:
                 f"bound {bound:.6f} at n = {n}"
             )
     if args.n is not None:
-        if args.d is None or args.eps is None:
-            raise UsageError("--n needs --d and --eps")
         print(f"failure bound for n={args.n}, d={args.d} (gc = m):")
-        try:
-            limit = analysis.min_ancilla(args.n, args.d, args.eps)
-        except (analysis.DomainError, ValueError) as exc:
-            raise UsageError(str(exc)) from None
         for m in range(0, limit.m + 3):
             b = analysis.failure_bound(args.n, m, args.d, gc=m)
             marker = " <- first m with bound < eps" if m == limit.m else ""

@@ -13,7 +13,8 @@ product are its scalar reference.  Signed membership lives in one place,
 span_signs: a vector's coefficients in the generator rows
 (gf2.span_coefficients) and the power of i of their product.  It serves
 group_elements, and through it every code's membership and sign test,
-and the eigenvalues a stabilizer state (tableau.Tableau) reads.
+and the eigenvalues a stabilizer state (tableau.Tableau) reads; the
+distance checks read syndromes on StabilizerCode.logical_basis instead.
 
 A stabilizer code is an ordered list of independent, pairwise commuting
 signed Paulis on n qubits; k = n - (number of generators).
@@ -258,6 +259,16 @@ class StabilizerCode:
         if not self.gens:
             return gf2.zeros((0, 2 * self.n))
         m = np.array([g.vector for g in self.gens], dtype=np.uint8)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def logical_basis(self) -> np.ndarray:
+        """Rows completing the generators to a basis of their normalizer: an
+        error commuting with the generators is outside the group iff it
+        anticommutes with one of these logical operators."""
+        g = self.generator_matrix
+        m = gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g)))
         m.setflags(write=False)
         return m
 

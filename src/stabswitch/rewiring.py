@@ -553,10 +553,10 @@ class DrawScreen:
     """Per-search tables that run verify_path's check on a draw's rows.
 
     errors are the weight < d error vectors that commute with the shared
-    block, in analysis.error_vectors order; logicals is an
-    analysis.logical_basis of the padded source's generators.  Shared
-    rows take no part in an exchange and every screened error commutes
-    with them, so the screen walks only the other blocks.
+    block, in analysis.error_vectors order; logicals is the padded
+    source's logical_basis.  Shared rows take no part in an exchange and
+    every screened error commutes with them, so the screen walks only
+    the other blocks.
     """
 
     errors: np.ndarray
@@ -565,10 +565,7 @@ class DrawScreen:
     @classmethod
     def of(cls, dec: Decomposition, d: int) -> "DrawScreen":
         errs = analysis.error_vectors(dec.padded_n, d - 1)
-        return cls(
-            errors=gf2.commuting_rows(dec.shared, errs),
-            logicals=analysis.logical_basis(dec.source.generator_matrix),
-        )
+        return cls(gf2.commuting_rows(dec.shared, errs), dec.source.logical_basis)
 
     def reject(self, chunk: Decomposition, start: int) -> list[Rejection]:
         """A Rejection for each draw of the chunk (draw i is retry start + i)

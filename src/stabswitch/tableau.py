@@ -73,6 +73,9 @@ class Tableau:
         r = np.array([p.sign < 0 for p in stabilizers], dtype=np.uint8)
         return cls(n, g[:, :n].copy(), g[:, n:].copy(), r)
 
+    def copy(self) -> "Tableau":
+        return Tableau(self.n, self.x.copy(), self.z.copy(), self.r.copy())
+
     def _anticommute_mask(self, v: np.ndarray) -> np.ndarray:
         """Boolean mask over the n rows of anticommutation with each vector in v."""
         return ((v[..., self.n :] @ self.x.T + v[..., : self.n] @ self.z.T) % 2).astype(bool)
@@ -305,10 +308,11 @@ def simulate_trials(
     carried = transport_logicals(frame, path)
     for state_idx, spec in enumerate(("+Z", "+X")):
         outs = carried.logical_x if spec == "+X" else carried.logical_z
+        encoded = encode(path.source, frame, spec)
         for trial in range(trials):
             seq = np.random.SeedSequence(entropy=seed, spawn_key=(state_idx, trial))
             rng = np.random.default_rng(seq)
-            t = encode(path.source, frame, spec)
+            t = encoded.copy()
             try:
                 run_path(t, path, rng, forced=forced)
             except StabilizationFailureError as exc:

@@ -90,7 +90,7 @@ class TestExchangeWalk:
         for code in codes:
             g = code.generator_matrix
             errs = analysis.error_vectors(code.n, min(3, code.n))
-            masks = list(analysis.exchange_walk(g, range(len(g)), [], analysis.logical_basis(g), errs))
+            masks = list(analysis.exchange_walk(g, range(len(g)), [], code.logical_basis, errs))
             assert len(masks) == 1
             assert np.array_equal(masks[0], analysis.undetectable(code, errs))
 
@@ -113,7 +113,7 @@ class TestExchangeWalk:
                 rows.append(((x0 + rng.integers(0, 2, len(ker)) @ ker) % 2).astype(np.uint8))
                 codes.append(StabilizerCode(n, tuple(PauliOp.from_vector(rows[s]) for s in slots)))
             errs = analysis.error_vectors(n, 3)
-            walk = analysis.exchange_walk(np.array(rows), range(len(g)), exchanges, analysis.logical_basis(g), errs)
+            walk = analysis.exchange_walk(np.array(rows), range(len(g)), exchanges, code.logical_basis, errs)
             for mask, c in zip(walk, codes, strict=True):
                 want = analysis.undetectable(c, errs)
                 assert np.array_equal(mask, want)
@@ -127,7 +127,7 @@ class TestExchangeWalk:
         rows, g = walk_rows(path), path.start.generator_matrix
         exchanges = [(s.replaced_index, len(g) + j) for j, s in enumerate(path.steps)]
         for stack in (rows, np.stack([rows, rows])):
-            masks = list(analysis.exchange_walk(stack, range(len(g)), exchanges, analysis.logical_basis(g), errs))
+            masks = list(analysis.exchange_walk(stack, range(len(g)), exchanges, path.start.logical_basis, errs))
             assert [m.shape for m in masks] == [stack.shape[:-2] + (0,)] * len(path.intermediates)
         assert analysis.verify_path(path, 1).ok
         base = rewiring.decompose(*rewiring.pad(steane7, perfect5, 0))
@@ -149,7 +149,7 @@ class TestExchangeWalk:
         assert exchanges == [(s.replaced_index, len(g) + k) for k, s in enumerate(pair[1].steps)]
         errs = analysis.error_vectors(base.padded_n, 2)
         rows = np.stack([walk_rows(p) for p in pair])
-        masks = list(analysis.exchange_walk(rows, range(len(g)), exchanges, analysis.logical_basis(g), errs))
+        masks = list(analysis.exchange_walk(rows, range(len(g)), exchanges, pair[0].start.logical_basis, errs))
         assert len(masks) == len(pair[0].intermediates)
         for step, mask in enumerate(masks):
             for draw, path in enumerate(pair):
@@ -209,7 +209,78 @@ class TestBatchedMembershipMatchesPerErrorLoops:
         for path in checked_paths:
             for i, step in enumerate(path.steps):
                 pre = path.intermediates[i]
-                assert analysis.step_subsystem_distance(pre, step) == old_step_subsystem_distance(pre, step)
+                dist = analysis.step_subsystem_distance(pre, step)
+                assert dist == old_step_subsystem_distance(pre, step)
+                assert dist <= PauliOp.from_vector(step.measure.vector ^ step.correct.vector).weight
+
+
+def random_step(code, rng):
+    """A random adjacent exchange on code: a generator slot and an incoming
+    operator anticommuting with that generator and no other."""
+    g = code.generator_matrix
+    slot = int(rng.integers(len(g)))
+    rhs = (np.arange(len(g)) == slot).astype(np.uint8)
+    x0, ker = gf2.solve_affine(gf2.swap_xz(g), rhs)
+    incoming = (x0 + rng.integers(0, 2, len(ker)) @ ker) % 2
+    return rewiring.ConversionStep(PauliOp.from_vector(incoming), code.gens[slot], slot)
+
+
+class TestSyndromeTestMatchesOraclesOnRandomCodes:
+    """undetectable, code_distance and step_subsystem_distance read
+    generator and logical syndromes; on seeded random codes (n 2..8, k
+    0..3, some with no generators) they must agree with the membership
+    oracles of conftest."""
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        rng = np.random.default_rng(2015)
+        out = []
+        for i in range(350):
+            n = 2 + i % 7
+            out.append(pauli.random_stabilizer_code(n, min((i // 7) % 4, n), rng))
+        return out
+
+    def test_codes_cover_the_range(self, codes):
+        assert len(codes) >= 300
+        assert {c.n for c in codes} == set(range(2, 9)) and {c.k for c in codes} == set(range(4))
+        assert any(not c.gens for c in codes)
+
+    def test_undetectable(self, codes):
+        hidden = 0
+        for code in codes:
+            g, errs = code.generator_matrix, analysis.error_vectors(code.n, 2)
+            quiet = ~gf2.symplectic_products(g, errs).any(axis=0)
+            want = [bool(q) and not in_rowspace(g, v) for q, v in zip(quiet, errs)]
+            mask = analysis.undetectable(code, errs)
+            assert mask.tolist() == want
+            hidden += int(mask.sum())
+        assert hidden > 0
+
+    def test_code_distance(self, codes):
+        rng = np.random.default_rng(7)
+        for code in codes:
+            if code.k == 0:
+                with pytest.raises(analysis.ZeroLogicalQubitsError):
+                    analysis.code_distance(code, code.n)
+                continue
+            rep = analysis.code_distance(code, code.n)
+            assert rep.exact and rep.distance == naive_distance(code)
+            for cap in (code.n, int(rng.integers(1, code.n + 1))):
+                rep = analysis.code_distance(code, cap)
+                assert (rep.distance, rep.exact, rep.witness) == old_code_distance(code, cap)
+
+    def test_step_subsystem_distance(self, codes):
+        rng = np.random.default_rng(11)
+        steps = 0
+        for code in codes:
+            if not code.gens:
+                continue
+            step = random_step(code, rng)
+            dist = analysis.step_subsystem_distance(code, step)
+            assert dist == old_step_subsystem_distance(code, step)
+            assert dist <= PauliOp.from_vector(step.measure.vector ^ step.correct.vector).weight
+            steps += 1
+        assert steps >= 300
 
 
 class TestDetectable:
@@ -298,11 +369,14 @@ class TestStepSubsystemDistance:
         assert analysis.step_subsystem_distance(pre, step) == 1
 
     def test_rejects_non_adjacent(self, steane7):
-        step = rewiring.ConversionStep(
-            measure=steane7.gens[1], correct=steane7.gens[0], replaced_index=0
-        )
-        with pytest.raises(ValueError):
-            analysis.step_subsystem_distance(steane7, step)
+        # IXXIIXX commutes with generator 0; IIIIZII anticommutes with it
+        # but also with generator 2
+        for measure in ("IXXIIXX", "IIIIZII"):
+            step = rewiring.ConversionStep(
+                measure=PauliOp.from_string(measure), correct=steane7.gens[0], replaced_index=0
+            )
+            with pytest.raises(ValueError):
+                analysis.step_subsystem_distance(steane7, step)
 
 
 def decimal_bound(n: int, m: int, d: int, gc: int) -> Decimal:

@@ -270,6 +270,18 @@ class TestBounds:
     def test_needs_arguments(self):
         assert run("bounds") == cli.EXIT_USAGE
 
+    def test_large_lemma1_skips_enumeration_in_one_short_line(self, capsys):
+        # 2^(120^2) has more decimal digits than int-to-str conversion allows
+        assert run("bounds", "--lemma1", "120") == cli.EXIT_OK
+        skipped = [line for line in capsys.readouterr().out.splitlines() if "enumeration skipped" in line]
+        assert len(skipped) == 1 and len(skipped[0]) < 80
+
+    @pytest.mark.parametrize("extra", [[], ["--lemma1", "3"]])
+    def test_bound_outside_its_domain_prints_nothing(self, capsys, extra):
+        assert run("bounds", "--n", "7", "--d", "9", "--eps", "0.1", *extra) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "3/4" in captured.err
+
 
 class TestReproduce:
     def test_table1(self, capsys):

@@ -425,6 +425,13 @@ class TestApplyPauli:
         assert t.contains(PauliOp.from_string("-Z"))
 
 
+    def test_copy_is_independent(self):
+        t = tableau.Tableau.from_stabilizers([PauliOp.from_string("Z")])
+        c = t.copy()
+        c.apply_pauli(PauliOp.from_string("X"))
+        assert t.contains(PauliOp.from_string("Z")) and c.contains(PauliOp.from_string("-Z"))
+
+
 class TestRunStep:
     def test_already_stabilized_measure_is_deterministic(self, perfect5):
         # measuring a current stabilizer: outcome equals its sign, no correction
@@ -512,6 +519,19 @@ class TestSimulateTrials:
             for t in range(2)
         ]
         assert seen == [(state, forced) for state in want]
+
+    def test_encodes_each_state_once(self, table_paths, monkeypatch):
+        specs = []
+        real = tableau.encode
+
+        def spy(code, frame, spec):
+            specs.append(spec)
+            return real(code, frame, spec)
+
+        monkeypatch.setattr(tableau, "encode", spy)
+        runs = list(tableau.simulate_trials(table_paths["table1"], 3, 9))
+        assert specs == ["+Z", "+X"] and len(runs) == 6
+        assert all(failure is None for *_, failure in runs)
 
     def test_stabilization_failure_is_reported(self, table_paths, monkeypatch):
         def broken(t, path, rng, forced=None):
@@ -642,6 +662,23 @@ def test_path_walk_matches_per_error_loops_on_150_searched_paths(steane7, perfec
             assert_injection_matches_old(path, 1 if seed % 2 else 2)
     # first draws fail at several intermediates, not only the first exchange
     assert len(failing) >= 3
+
+
+def test_path_checks_share_the_start_codes_logical_basis(table_paths, monkeypatch):
+    """verify_path and inject_and_check on one path read one cached
+    logical basis of path.start: a single kernel elimination."""
+    path = rewiring.ConversionPath.from_json(table_paths["table1"].to_json())  # nothing cached yet
+    calls = []
+    real = gf2.kernel
+
+    def spy(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(gf2, "kernel", spy)
+    assert analysis.verify_path(path, 3).ok
+    assert tableau.inject_and_check(path, 2).ok
+    assert len(calls) == 1
 
 
 class TestInjectAndCheck:
