@@ -10,15 +10,18 @@ script records:
 
 - ms per call of each layer (pad+decompose, randomize, solve_bridges,
   build_path, verify_path, code_distance, step_subsystem_distance,
-  encode+run_path, simulate_trials with SIM_TRIALS trials of each of its
-  two states, inject_and_check) on one fixed seeded steane7 -> rm15
-  path at m=2 (n=17), of undetectable on that pair's padded source
-  code against the weight <= d-1 error list, and ms per retry of
-  `search` on steane7 -> (34)-steane7 at m=1, which has no path and so
-  spends all of its 60 retries, in a child process importing
-  that side's src/.  LAYER_PAIRS parent/change child pairs run, the side
-  that runs first alternating, and each layer keeps every run and each
-  side's quartiles, so machine drift shows up as spread, not as a change;
+  logical_frame of the path's source, whose logical_basis is cached as
+  after verify_path, transport_logicals, ConversionPath.from_json of the
+  path's JSON document, encode+run_path, simulate_trials with SIM_TRIALS
+  trials of each of its two states, inject_and_check) on one fixed
+  seeded steane7 -> rm15 path at m=2 (n=17), of undetectable on that
+  pair's padded source code against the weight <= d-1 error list, and
+  ms per retry of `search` on steane7 -> (34)-steane7 at m=1, which has
+  no path and so spends all of its 60 retries, in a child process
+  importing that side's src/.  LAYER_PAIRS parent/change child pairs
+  run, the side that runs first alternating, and each layer keeps every
+  run and each side's quartiles, so machine drift shows up as spread,
+  not as a change;
 - the `bench/run.py` end-to-end metrics of the named workloads, from
   PAIRS parent/change pairs of SECONDS-long runs per seed (the side
   that runs first alternates), with every run and each side's quartiles;
@@ -97,6 +100,7 @@ def time_layers() -> dict:
     drawn = rewiring.randomize(base, [rng()]).draw(0)
     dec = rewiring.solve_bridges(drawn, rng(), cfg.bridge_weight_samples)
     frame = tableau.logical_frame(path.source)
+    doc = path.to_json()
     padded_source = rewiring.pad(src, tgt, m)[0]
     errs = analysis.error_vectors(path.n, d - 1)
     codes, steps = path.intermediates, path.steps
@@ -126,6 +130,9 @@ def time_layers() -> dict:
             lambda: [analysis.step_subsystem_distance(codes[i], s) for i, s in enumerate(steps)],
             len(steps),
         ),
+        "logical_frame": (lambda: tableau.logical_frame(path.source), 1),
+        "transport_logicals": (lambda: tableau.transport_logicals(frame, path), 1),
+        "from_json": (lambda: rewiring.ConversionPath.from_json(doc), 1),
         "encode+run_path": (encode_run, 1),
         "simulate_trials": (lambda: list(tableau.simulate_trials(path, SIM_TRIALS, LAYER_SEED)), 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),

@@ -285,7 +285,10 @@ def failure_bound(n: int, m: int, d: int, gc: int, count_weight_d: bool = False)
         + math.log(gc + 1.0)
         - gc * math.log(2.0)
     )
-    raw = math.exp(log_raw)
+    try:
+        raw = math.exp(log_raw)
+    except OverflowError:  # past the float range: the bound says nothing
+        raw = math.inf
     return BoundResult(raw, min(1.0, max(0.0, raw)))
 
 
@@ -304,7 +307,7 @@ def min_ancilla(n: int, d: int, epsilon: float, count_weight_d: bool = False) ->
         raise ValueError("d must be >= 1")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
-    reference = d * math.log(n / d) + math.log(1.0 / epsilon)
+    reference = d * math.log(n / d) - math.log(epsilon)  # 1/epsilon overflows for a tiny epsilon
     m = 0
     while True:
         if failure_bound(n, m, d, gc=m, count_weight_d=count_weight_d).raw < epsilon:

@@ -192,7 +192,8 @@ def cmd_bounds(args) -> int:
         exact = analysis.masking_exact(n)
         bound = (n - 1) / 2**n
         print(f"masking probability, dimension {n}:")
-        print(f"  closed form: {exact} = {float(exact):.6f}")
+        shown = f"{exact} = " if exact.denominator < 2**64 else ""  # longer ones can pass the int-to-str limit
+        print(f"  closed form: {shown}{float(exact):.6f}")
         print(f"  reference bound (n-1)/2^n: {bound:.6f}")
         try:
             v = np.zeros(n, dtype=np.uint8)

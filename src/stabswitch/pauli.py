@@ -9,12 +9,16 @@ Hermitian results: multiplying anticommuting operators raises.
 
 All sign arithmetic is phase_exponent under signed_products, which sits
 under every group element and tableau product; PauliOp.__mul__ and
-product are its scalar reference.  Signed membership lives in one place,
-span_signs: a vector's coefficients in the generator rows
-(gf2.span_coefficients) and the power of i of their product.  It serves
-group_elements, and through it every code's membership and sign test,
-and the eigenvalues a stabilizer state (tableau.Tableau) reads; the
-distance checks read syndromes on StabilizerCode.logical_basis instead.
+product are its scalar reference.
+
+A membership question is answered one of two ways.  Signed membership
+is span_signs, the one caller of gf2.span_coefficients: it serves
+group_elements, and through it same_group, in_group, a path file's
+ancilla check and the eigenvalues of a stabilizer state (tableau.Tableau).
+"A logical, not a stabilizer?" is read off syndromes: an operator
+commuting with the generators is outside the group iff it anticommutes
+with a row of StabilizerCode.logical_basis, the basis the distance
+checks and tableau.logical_frame (its symplectic normal form) use.
 
 A stabilizer code is an ordered list of independent, pairwise commuting
 signed Paulis on n qubits; k = n - (number of generators).
@@ -401,21 +405,11 @@ def random_stabilizer_code(
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    rows: list[np.ndarray] = []
+    rows = gf2.zeros((0, 2 * n))
     while len(rows) < n - k:
-        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
-        space = gf2.kernel(gf2.swap_xz(mat))
-        for _ in range(10_000):
-            coeff = rng.integers(0, 2, size=space.shape[0], dtype=np.uint8)
-            v = (coeff @ space) % 2
-            if not v.any() or gf2.span_coefficients(mat, v)[1][0]:
-                continue
-            rows.append(v.astype(np.uint8))
-            break
-        else:  # pragma: no cover - astronomically unlikely
-            raise RuntimeError("failed to sample an independent commuting generator")
-    gens = tuple(
-        PauliOp.from_vector(v, sign=-1 if (random_signs and rng.integers(0, 2)) else +1)
-        for v in rows
-    )
-    return StabilizerCode(n, gens)
+        space = gf2.kernel(gf2.swap_xz(rows))
+        v = (rng.integers(0, 2, size=space.shape[0], dtype=np.uint8) @ space) % 2
+        if gf2.rank(np.vstack([rows, v])) > len(rows):  # nonzero and independent: 3 draws in 4 or more
+            rows = np.vstack([rows, v])
+    signs = [-1 if random_signs and rng.integers(0, 2) else +1 for _ in rows]
+    return StabilizerCode(n, tuple(PauliOp.from_vector(v, sign) for v, sign in zip(rows, signs)))

@@ -214,7 +214,7 @@ class ConversionPath:
             raise PathIntegrityError(f"ancilla_qubits must be distinct integers in 0..{n - 1}, got {ancilla!r}")
         singles = gf2.zeros((2 * len(ancilla), 2 * n))  # Z, then X, on each ancilla qubit
         singles[np.arange(2 * len(ancilla)), [col for q in ancilla for col in (n + q, q)]] = 1
-        fixed = gf2.span_coefficients(target.generator_matrix, singles)[1].reshape(-1, 2).any(axis=1)
+        fixed = np.array([e is not None for e in pauli.group_elements(target, singles)]).reshape(-1, 2).any(axis=1)
         if not fixed.all():
             q = ancilla[fixed.argmin()]
             raise PathIntegrityError(f"the target fixes no single-qubit Z or X on ancilla qubit {q}")

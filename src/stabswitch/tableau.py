@@ -156,42 +156,44 @@ class LogicalFrame:
     logical_z: tuple[PauliOp, ...]
 
     def validate(self, code: StabilizerCode) -> None:
+        """Raise ValueError unless the 2k operators are in the normalizer of
+        code with symplectic products [[0, I], [I, 0]].  A stabilizer
+        commutes with the normalizer, so that pairing check rejects it."""
         k = code.k
         if len(self.logical_x) != k or len(self.logical_z) != k:
             raise ValueError(f"frame has wrong rank for k={k}")
         ops = self.logical_x + self.logical_z
         vecs = np.array([op.vector for op in ops], dtype=np.uint8).reshape(2 * k, 2 * code.n)
         outside = gf2.symplectic_products(code.generator_matrix, vecs).any(axis=0)
-        inside = gf2.span_coefficients(code.generator_matrix, vecs)[1]
-        bad = np.nonzero(outside | inside)[0]
-        if bad.size:
-            i = int(bad[0])
-            kind = "outside the code normalizer" if outside[i] else "a stabilizer, not a logical"
-            raise ValueError(f"{ops[i]} is {kind}")
-        if not np.array_equal(gf2.symplectic_products(vecs[:k], vecs[k:]), gf2.identity(k)):
+        if outside.any():
+            raise ValueError(f"{ops[int(np.argmax(outside))]} is outside the code normalizer")
+        if not np.array_equal(gf2.symplectic_products(vecs, vecs), np.roll(gf2.identity(2 * k), k, axis=1)):
             raise ValueError("frame pairs are not symplectic")
 
 
 def logical_frame(code: StabilizerCode) -> LogicalFrame:
-    """Canonical logical frame from the normalizer kernel, by symplectic
-    Gram-Schmidt over the quotient modulo the stabilizer group."""
-    g = code.generator_matrix
-    cands = gf2.kernel(gf2.swap_xz(g))
-    xs: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
-    while len(xs) < code.k:
-        used = np.vstack([g, *xs, *zs])
-        u = cands[np.argmax(~gf2.span_coefficients(used, cands)[1])]
-        w = cands[np.argmax(gf2.symplectic_products(u, cands)[0])]
-        # sweep the candidates so later picks commute with (u, w)
-        cands = cands ^ np.outer(gf2.symplectic_products(w, cands)[0], u)
-        cands ^= np.outer(gf2.symplectic_products(u, cands)[0], w)
+    """Canonical logical frame: symplectic Gram-Schmidt over the 2k rows
+    of code.logical_basis.  Each round pairs u, the first nonzero row,
+    with w, the first row anticommuting with u, and sweeps every row to
+    commute with both, which zeroes u and w.  By induction over the
+    rounds, this is the frame the same Gram-Schmidt over the whole
+    normalizer kernel picks with a membership test per round: a swept
+    row commutes with the pairs so far and lies in the span of
+    logical_basis, which meets the group only in 0, so it is in the span
+    of the group and the pairs iff it is zero; and a kernel row outside
+    logical_basis is a group element plus earlier basis rows, so the
+    first kernel row outside that span, or anticommuting with u, is a
+    basis row."""
+    rows = code.logical_basis
+    xs, zs = [], []
+    for _ in range(code.k):
+        u = rows[np.argmax(rows.any(axis=1))]
+        w = rows[np.argmax(gf2.symplectic_products(u, rows)[0])]
+        rows = rows ^ np.outer(gf2.symplectic_products(w, rows)[0], u)
+        rows ^= np.outer(gf2.symplectic_products(u, rows)[0], w)
         xs.append(u)
         zs.append(w)
-    frame = LogicalFrame(
-        tuple(PauliOp.from_vector(v) for v in xs),
-        tuple(PauliOp.from_vector(v) for v in zs),
-    )
+    frame = LogicalFrame(tuple(map(PauliOp.from_vector, xs)), tuple(map(PauliOp.from_vector, zs)))
     frame.validate(code)
     return frame
 
@@ -337,10 +339,7 @@ def transport_logicals(frame: LogicalFrame, path) -> LogicalFrame:
                 op = op * step.correct
         return op
 
-    out = LogicalFrame(
-        tuple(carry(op) for op in frame.logical_x),
-        tuple(carry(op) for op in frame.logical_z),
-    )
+    out = LogicalFrame(tuple(map(carry, frame.logical_x)), tuple(map(carry, frame.logical_z)))
     try:
         out.validate(path.target)
     except ValueError as exc:

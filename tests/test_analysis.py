@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -418,6 +419,9 @@ class TestFailureBound:
         assert res.raw > 1.0
         assert res.effective == 1.0
 
+    def test_past_the_float_range_is_inf(self):
+        assert analysis.failure_bound(1000, 0, 600, 0) == (math.inf, 1.0)
+
     def test_domain_error(self):
         with pytest.raises(analysis.DomainError):
             analysis.failure_bound(4, 0, 4, 2)
@@ -439,6 +443,10 @@ class TestMinAncilla:
         assert analysis.failure_bound(7, res.m, 3, gc=res.m).raw < 0.5
         for m in range(res.m):
             assert analysis.failure_bound(7, m, 3, gc=m).raw >= 0.5
+
+    def test_scan_past_overflowing_bounds(self):
+        res = analysis.min_ancilla(1000, 600, 0.01)
+        assert res.m == 3519 and math.isfinite(res.asymptotic_reference)
 
     def test_monotone_in_epsilon(self):
         ms = [analysis.min_ancilla(7, 3, eps).m for eps in (1.0, 0.5, 0.1, 0.01, 0.001)]

@@ -276,6 +276,20 @@ class TestBounds:
         skipped = [line for line in capsys.readouterr().out.splitlines() if "enumeration skipped" in line]
         assert len(skipped) == 1 and len(skipped[0]) < 80
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--lemma1", "15000"],  # the closed form's digits pass the int-to-str limit
+            ["--n", "1000", "--d", "600", "--eps", "0.01", "--min-ancilla"],  # exp overflows below m = 3519
+            ["--n", "7", "--d", "3", "--eps", "1e-320", "--min-ancilla"],  # 1/eps overflows
+        ],
+    )
+    def test_extreme_inputs_exit_cleanly_in_short_lines(self, capsys, argv):
+        assert run("bounds", *argv) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(len(line) < 200 for line in lines)
+        assert not any("inf)" in line for line in lines if line.startswith("min ancillas"))
+
     @pytest.mark.parametrize("extra", [[], ["--lemma1", "3"]])
     def test_bound_outside_its_domain_prints_nothing(self, capsys, extra):
         assert run("bounds", "--n", "7", "--d", "9", "--eps", "0.1", *extra) == cli.EXIT_USAGE

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,15 @@ class TestRandomStabilizerCode:
         for _ in range(10):
             code = pauli.random_stabilizer_code(6, 1, rng)
             assert (code.n, code.k) == (6, 1)  # construction already validates
+
+    def test_pinned_draws(self):
+        # many oracle tests draw their inputs here, so a changed draw must show
+        rng = np.random.default_rng(1618)
+        h = hashlib.sha256()
+        for n in range(1, 13):
+            for k in range(n + 1):
+                h.update(pauli.format_code(pauli.random_stabilizer_code(n, k, rng)).encode())
+        assert h.hexdigest() == "aaf87fb70737c68261b1b535bd61d4f3afb2f5db3cacc43e5fb9443781f07b13"
 
     def test_deterministic_given_seed(self):
         a = pauli.random_stabilizer_code(5, 1, np.random.default_rng(99))

@@ -229,9 +229,33 @@ class TestLogicalFrame:
         for _ in range(320):
             n = int(rng.integers(1, 9))
             codes.append(pauli.random_stabilizer_code(n, int(rng.integers(0, n + 1)), rng))
-        assert {code.k for code in codes} >= set(range(9))
+        for n in range(9, 13):
+            for k in range(n + 1):
+                codes += [pauli.random_stabilizer_code(n, k, rng) for _ in range(2)]
+        assert {code.k for code in codes} >= set(range(13))
         for code in codes:
             assert tableau.logical_frame(code) == old_logical_frame(code)
+
+
+def test_frame_transport_and_path_load_eliminate_only_in_span_signs(steane7, perfect5, shor9, monkeypatch):
+    """The frame, its check and its transport read syndromes; loading a
+    path asks signed membership, which only pauli.span_signs eliminates."""
+    rm15 = catalog.resolve(str(ROOT / "bench" / "codes" / "rm15.txt"))
+    path = rewiring.search(steane7, rm15, rewiring.RewiringConfig(m=2, seed=3, min_distance=3)).path
+    callers = []
+    real = gf2.span_coefficients
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code)
+        return real(*args)
+
+    monkeypatch.setattr(gf2, "span_coefficients", recorded)
+    for code in (steane7, perfect5, shor9, rm15, path.source):
+        tableau.logical_frame(code).validate(code)
+    tableau.transport_logicals(tableau.logical_frame(path.source), path).validate(path.target)
+    assert callers == []
+    assert rewiring.ConversionPath.from_json(path.to_json()) == path
+    assert callers and set(callers) == {pauli.span_signs.__code__}
 
 
 def bad_frames(code):
@@ -243,7 +267,8 @@ def bad_frames(code):
     return [
         ("wrong rank", tableau.LogicalFrame(frame.logical_x + (lx,), frame.logical_z)),
         (f"{outside} is outside the code normalizer", tableau.LogicalFrame((lx,), (outside,))),
-        (f"{code.gens[0]} is a stabilizer, not a logical", tableau.LogicalFrame((code.gens[0],), (lz,))),
+        # a stabilizer commutes with the whole normalizer, so it leaves a zero pairing row
+        ("frame pairs are not symplectic", tableau.LogicalFrame((code.gens[0],), (lz,))),
         ("frame pairs are not symplectic", tableau.LogicalFrame((lx,), (lx,))),
     ]
 
@@ -253,6 +278,15 @@ class TestValidateRejections:
         for message, frame in bad_frames(steane7):
             with pytest.raises(ValueError, match=re.escape(message)):
                 frame.validate(steane7)
+
+    def test_anticommuting_x_pair_raises(self):
+        code = pauli.random_stabilizer_code(6, 2, np.random.default_rng(5))
+        frame = tableau.logical_frame(code)
+        (x1, x2), (z1, z2) = frame.logical_x, frame.logical_z
+        # X1 Z2 still pairs with Z1 and commutes with Z2, but anticommutes with X2
+        bad = tableau.LogicalFrame((x1 * z2, x2), (z1, z2))
+        with pytest.raises(ValueError, match="frame pairs are not symplectic"):
+            bad.validate(code)
 
     def test_transport_reports_failure(self, steane7):
         # a path with no steps carries every operator unchanged
