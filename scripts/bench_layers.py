@@ -15,7 +15,8 @@ script records:
   path's JSON document, encode+run_path, simulate_trials with SIM_TRIALS
   trials of each of its two states, inject_and_check) on one fixed
   seeded steane7 -> rm15 path at m=2 (n=17), of undetectable on that
-  pair's padded source code against the weight <= d-1 error list, and
+  pair's padded source code against the weight <= d-1 error list and of
+  code_distance with cap 4 on that code (its logical_basis warm), and
   ms per retry of `search` on steane7 -> (34)-steane7 at m=1, which has
   no path and so spends all of its 60 retries, in a child process
   importing that side's src/.  LAYER_PAIRS parent/change child pairs
@@ -104,6 +105,7 @@ def time_layers() -> dict:
     padded_source = rewiring.pad(src, tgt, m)[0]
     errs = analysis.error_vectors(path.n, d - 1)
     codes, steps = path.intermediates, path.steps
+    rest, carried = len(path.source.gens) - 1, 2 * path.source.k
 
     st34 = catalog.perm(src, "(34)")
     search_cfg = rewiring.RewiringConfig(m=1, seed=LAYER_SEED, max_retries=60, min_distance=d)
@@ -137,10 +139,14 @@ def time_layers() -> dict:
         "simulate_trials": (lambda: list(tableau.simulate_trials(path, SIM_TRIALS, LAYER_SEED)), 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),
         "undetectable": (lambda: analysis.undetectable(padded_source, errs), 1),
+        "code_distance cap=4": (lambda: analysis.code_distance(padded_source, 4), 1),
         "search": (exhausted_search, search_cfg.max_retries),
     }
     return {
-        "input": f"steane7 -> rm15, m={m}, seed={LAYER_SEED}, n={path.n}, {len(steps)} steps, d={d}",
+        "input": (
+            f"steane7 -> rm15, m={m}, seed={LAYER_SEED}, n={path.n}, {len(steps)} steps, d={d}; "
+            f"step_subsystem_distance rows: {rest} rest + out + in + {carried} L* = {rest + 2 + carried}"
+        ),
         "ms_per_call": {name: round(_per_call_ms(fn, calls), 4) for name, (fn, calls) in layers.items()},
     }
 

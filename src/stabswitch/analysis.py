@@ -7,10 +7,18 @@ This is exponential in the weight cap and intended for desk-scale codes.
 An error is undetectable when it commutes with every generator and
 anticommutes with a row of StabilizerCode.logical_basis; every check
 reads that off syndromes, with no group-membership elimination.
-undetectable tests one code, exchange_walk every code a sequence of
-exchanges reaches (a path, or a stack of search draws) from one product,
-and step_subsystem_distance a step's gauge group, whose logicals are
-transported across the step.
+undetectable tests one code against a list of error vectors,
+exchange_walk every code a sequence of exchanges reaches (a path, or a
+stack of search draws) from one product, and code_distance and
+step_subsystem_distance (a step's gauge group, whose logicals are
+transported across the step) one code weight by weight.
+
+The enumeration lists each error by its letters, not its vector: entry
+3q + {X: 0, Y: 1, Z: 2} names one single-qubit Pauli (_letters).
+Syndromes are linear, so code_distance and step_subsystem_distance take
+the symplectic products of the 3n single-qubit Paulis with their rows
+once, pack them 64 rows to a uint64 word, and read each error's
+syndrome words as the XOR of the words of its letters.
 
 The failure-probability bound combines a union bound over low-weight
 errors with a Chernoff estimate of their count; see failure_bound for
@@ -45,33 +53,67 @@ class InfeasibleError(ValueError):
     """Exhaustive enumeration would exceed its budget."""
 
 
-_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _ENUMERATION_LOG2_BUDGET = 20  # masking_enumerate's cap on log2 of its 2^(n^2) matrices
 
 
 @lru_cache(maxsize=None)
-def _errors_at_weight(n: int, w: int) -> np.ndarray:
-    """All weight-w error vectors on n qubits, in deterministic order."""
-    rows = []
-    for supp in itertools.combinations(range(n), w):
-        for letters in itertools.product("XYZ", repeat=w):
-            v = np.zeros(2 * n, dtype=np.uint8)
-            for q, letter in zip(supp, letters):
-                xb, zb = _LETTER_BITS[letter]
-                v[q] = xb
-                v[n + q] = zb
-            rows.append(v)
-    out = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+def _single_qubit_paulis(n: int) -> np.ndarray:
+    """The (3n, 2n) table of single-qubit Paulis: row 3q + {X: 0, Y: 1, Z: 2}."""
+    xz = np.kron(gf2.identity(n), np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8))  # columns x0 z0 x1 z1 ...
+    out = np.hstack([xz[:, 0::2], xz[:, 1::2]])
     out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _letters(n: int, w: int) -> np.ndarray:
+    """The weight-w errors on n qubits in enumeration order (supports in
+    lexicographic order, then letters X < Y < Z per position), each as the
+    w rows of _single_qubit_paulis(n) it multiplies; columns contiguous."""
+    dtype = np.min_scalar_type(3 * n)
+    supports = np.array(list(itertools.combinations(range(n), w)), dtype=dtype).reshape(math.comb(n, w), w)
+    letters = np.array(list(itertools.product(range(3), repeat=w)), dtype=dtype).reshape(3**w, w)
+    out = np.asfortranarray((3 * supports[:, None] + letters).reshape(len(supports) * len(letters), w))
+    out.setflags(write=False)
+    return out
+
+
+def _errors_at_weight(n: int, w: int) -> np.ndarray:
+    """All weight-w error vectors on n qubits, in enumeration order."""
+    singles, out = _single_qubit_paulis(n), gf2.zeros((math.comb(n, w) * 3**w, 2 * n))
+    for col in _letters(n, w).T:
+        out ^= singles.take(col, axis=0)
     return out
 
 
 def error_vectors(n: int, wmax: int) -> np.ndarray:
     """All error vectors of weight 1..wmax on n qubits, weight-ascending."""
-    parts = [_errors_at_weight(n, w) for w in range(1, wmax + 1)]
-    if not parts:
-        return gf2.zeros((0, 2 * n))
-    return np.vstack(parts)
+    return np.vstack([gf2.zeros((0, 2 * n)), *(_errors_at_weight(n, w) for w in range(1, wmax + 1))])
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """The last axis of a 0/1 array as uint64 words: bit i in word i // 64."""
+    padded = np.zeros((*bits.shape[:-1], -(-bits.shape[-1] // 64) * 64), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+def _quiet_syndromes(blocks: Sequence[np.ndarray], n: int, wmax: int) -> Iterator[tuple[np.ndarray, list]]:
+    """For w = 1..wmax, the letters of the weight-w errors commuting with
+    blocks[0] and, per later block of rows, the mask of those errors
+    anticommuting with a row of it.  An error's syndrome words are the XOR
+    of its letters' words, one product of all rows with the 3n letters."""
+    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    masks = _words(owner == np.arange(len(blocks))[:, None])
+    words = _words(gf2.symplectic_products(np.vstack(blocks), _single_qubit_paulis(n)).T)
+    for w in range(1, wmax + 1):
+        letters = _letters(n, w)
+        syn = words.take(letters[:, 0], axis=0)
+        for col in letters.T[1:]:
+            syn ^= words.take(col, axis=0)
+        quiet = np.flatnonzero(~(syn & masks[0]).any(axis=1))
+        syn = syn.take(quiet, axis=0)
+        yield letters[quiet], [(syn & mask).any(axis=1) for mask in masks[1:]]
 
 
 @dataclass(frozen=True)
@@ -114,12 +156,14 @@ def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
         raise ZeroLogicalQubitsError("distance undefined for k = 0")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    for w in range(1, min(cap, code.n) + 1):
-        errs = _errors_at_weight(code.n, w)
-        hits = np.flatnonzero(undetectable(code, errs))
+    wmax = min(cap, code.n)
+    blocks = [code.generator_matrix, code.logical_basis]
+    for w, (letters, (logicals,)) in enumerate(_quiet_syndromes(blocks, code.n, wmax), 1):
+        hits = np.flatnonzero(logicals)
         if hits.size:
-            return DistanceReport(w, True, PauliOp.from_vector(errs[hits[0]]))
-    return DistanceReport(min(cap, code.n) + 1, False, None)
+            witness = np.bitwise_xor.reduce(_single_qubit_paulis(code.n)[letters[hits[0]]])
+            return DistanceReport(w, True, PauliOp.from_vector(witness))
+    return DistanceReport(wmax + 1, False, None)
 
 
 def exchange_walk(
@@ -240,11 +284,11 @@ def step_subsystem_distance(pre_code: StabilizerCode, step) -> int:
     if gf2.symplectic_product(out, in_) != 1 or gf2.symplectic_products(rest, in_).any():
         raise ValueError("step is not adjacent to pre_code")
     logicals = pre_code.logical_basis
-    probes = np.vstack([out, in_, logicals ^ np.outer(gf2.symplectic_products(logicals, in_), out)])
+    carried = logicals ^ np.outer(gf2.symplectic_products(logicals, in_), out)
     bound = PauliOp.from_vector(out ^ in_).weight
-    for w in range(1, bound):
-        syn = gf2.symplectic_products(probes, gf2.commuting_rows(rest, _errors_at_weight(pre_code.n, w)))
-        if (syn[2:].any(axis=0) | (syn[0] & syn[1])).any():
+    blocks = [rest, out[None], in_[None], carried]
+    for w, (_, (o, i, c)) in enumerate(_quiet_syndromes(blocks, pre_code.n, bound - 1), 1):
+        if (c | (o & i)).any():
             return w
     return bound
 
@@ -308,13 +352,10 @@ def min_ancilla(n: int, d: int, epsilon: float, count_weight_d: bool = False) ->
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     reference = d * math.log(n / d) - math.log(epsilon)  # 1/epsilon overflows for a tiny epsilon
-    m = 0
-    while True:
+    for m in range(100_001):
         if failure_bound(n, m, d, gc=m, count_weight_d=count_weight_d).raw < epsilon:
             return MinAncillaResult(m, reference)
-        m += 1
-        if m > 100_000:  # pragma: no cover - the bound decays geometrically
-            raise RuntimeError("bound failed to drop below epsilon")
+    raise RuntimeError("bound failed to drop below epsilon")  # pragma: no cover - the bound decays geometrically
 
 
 def masking_exact(n: int) -> Fraction:
@@ -335,13 +376,9 @@ def masking_exact(n: int) -> Fraction:
 
 def _order_stats(mats: np.ndarray, invs: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Boolean mask: last set bit of U v before first set bit of (U^-1)^T w."""
-    n = v.shape[0]
     uv = (mats.astype(np.int64) @ v.astype(np.int64)) % 2
     uw = (np.transpose(invs, (0, 2, 1)).astype(np.int64) @ w.astype(np.int64)) % 2
-    idx = np.arange(n)
-    last = (uv * idx).max(axis=1)
-    first = uw.argmax(axis=1)
-    return last < first
+    return (uv * np.arange(v.shape[0])).max(axis=1) < uw.argmax(axis=1)
 
 
 def masking_enumerate(n: int, v, w) -> Fraction:
@@ -350,8 +387,7 @@ def masking_enumerate(n: int, v, w) -> Fraction:
     Filters every n x n bit matrix through an invertibility check, so it
     raises InfeasibleError once n^2 > _ENUMERATION_LOG2_BUDGET (n > 4).
     """
-    v = gf2.asbits(v)
-    w = gf2.asbits(w)
+    v, w = gf2.asbits(v), gf2.asbits(w)
     if not v.any() or not w.any():
         raise ValueError("v and w must be nonzero")
     if n * n > _ENUMERATION_LOG2_BUDGET:
@@ -360,10 +396,8 @@ def masking_enumerate(n: int, v, w) -> Fraction:
     bits = ((np.arange(total)[:, None] >> np.arange(n * n)[None, :]) & 1).astype(np.uint8)
     mats = bits.reshape(total, n, n)
     invs, ok = gf2.batch_invert(mats)
-    mats = mats[ok]
-    invs = invs[ok]
-    hits = int(_order_stats(mats, invs, v, w).sum())
-    return Fraction(hits, len(mats))
+    hits = int(_order_stats(mats[ok], invs[ok], v, w).sum())
+    return Fraction(hits, int(ok.sum()))
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -375,18 +409,13 @@ class MonteCarloEstimate(NamedTuple):
 
 def masking_mc(n: int, v, w, trials: int, rng: np.random.Generator) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the masking probability with standard error."""
-    v = gf2.asbits(v)
-    w = gf2.asbits(w)
+    v, w = gf2.asbits(v), gf2.asbits(w)
     if not v.any() or not w.any():
         raise ValueError("v and w must be nonzero")
-    hits = 0
-    done = 0
-    chunk = 200_000
-    while done < trials:
-        take = min(chunk, trials - done)
-        mats, invs = gf2.random_gl_batch(n, take, rng)
+    hits, chunk = 0, 200_000
+    for done in range(0, trials, chunk):
+        mats, invs = gf2.random_gl_batch(n, min(chunk, trials - done), rng)
         hits += int(_order_stats(mats, invs, v, w).sum())
-        done += take
     p = hits / trials
     return MonteCarloEstimate(p, math.sqrt(p * (1 - p) / trials), hits, trials)
 

@@ -16,7 +16,9 @@ reproduce runs it with the fixed seed 2024.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -177,6 +179,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+def _probability(p: float) -> str:
+    """p to six decimals, or in exponent form once that would print 0."""
+    return f"{p:.6e}" if 0 < p < 5e-7 else f"{p:.6f}"
+
+
 def cmd_bounds(args) -> int:
     if args.lemma1 is not None and args.lemma1 < 1:
         raise UsageError("--lemma1 must be >= 1")
@@ -193,28 +200,30 @@ def cmd_bounds(args) -> int:
         bound = (n - 1) / 2**n
         print(f"masking probability, dimension {n}:")
         shown = f"{exact} = " if exact.denominator < 2**64 else ""  # longer ones can pass the int-to-str limit
-        print(f"  closed form: {shown}{float(exact):.6f}")
-        print(f"  reference bound (n-1)/2^n: {bound:.6f}")
+        print(f"  closed form: {shown}{_probability(float(exact))}")
+        print(f"  reference bound (n-1)/2^n: {_probability(bound)}")
         try:
-            v = np.zeros(n, dtype=np.uint8)
-            w = np.zeros(n, dtype=np.uint8)
-            v[0] = 1
-            w[n - 1 if n > 1 else 0] = 1
+            v, w = np.eye(n, dtype=np.uint8)[[0, n - 1]]  # e_1 and e_n
             enum = analysis.masking_enumerate(n, v, w)
-            print(f"  enumerated over all invertible matrices: {enum} = {float(enum):.6f}")
+            print(f"  enumerated over all invertible matrices: {enum} = {_probability(float(enum))}")
         except analysis.InfeasibleError as exc:
             print(f"  enumeration skipped: {exc}")
         if float(exact) > bound:
             print(
-                f"  WARNING: the exact value {float(exact):.6f} exceeds the reference "
-                f"bound {bound:.6f} at n = {n}"
+                f"  WARNING: the exact value {_probability(float(exact))} exceeds the reference "
+                f"bound {_probability(bound)} at n = {n}"
             )
     if args.n is not None:
         print(f"failure bound for n={args.n}, d={args.d} (gc = m):")
-        for m in range(0, limit.m + 3):
-            b = analysis.failure_bound(args.n, m, args.d, gc=m)
-            marker = " <- first m with bound < eps" if m == limit.m else ""
-            print(f"  m={m:3d}  raw={b.raw:.6e}  effective={b.effective:.6f}{marker}")
+        rows = [(m, analysis.failure_bound(args.n, m, args.d, gc=m)) for m in range(0, limit.m + 3)]
+        for overflowed, run in itertools.groupby(rows, key=lambda row: math.isinf(row[1].raw)):
+            run = list(run)
+            if overflowed and len(run) > 1:  # one line per run of overflowed rows
+                print(f"  m={run[0][0]}..{run[-1][0]}  raw=inf  effective={run[0][1].effective:.6f}")
+                continue
+            for m, b in run:
+                marker = " <- first m with bound < eps" if m == limit.m else ""
+                print(f"  m={m:3d}  raw={b.raw:.6e}  effective={b.effective:.6f}{marker}")
         if args.min_ancilla:
             print(
                 f"min ancillas for eps={args.eps}: m = {limit.m} "

@@ -1,7 +1,10 @@
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from stabswitch import analysis, catalog, fixtures, gf2, rewiring
+from stabswitch import catalog, fixtures, gf2, rewiring
 from stabswitch.catalog import PERFECT5, SHOR9, STEANE7
 from stabswitch.pauli import PauliOp
 
@@ -44,6 +47,29 @@ def naive_distance(code, cap=None) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def old_errors_at_weight(n, w):
+    """All weight-w error vectors on n qubits, one per (support, letters)
+    pair in loop order: the enumerator the letter tables of analysis
+    replaced, kept here so that the oracles below share no code with it."""
+    bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    rows = []
+    for supp in itertools.combinations(range(n), w):
+        for letters in itertools.product("XYZ", repeat=w):
+            v = np.zeros(2 * n, dtype=np.uint8)
+            for q, letter in zip(supp, letters):
+                v[q], v[n + q] = bits[letter]
+            rows.append(v)
+    out = np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+    out.setflags(write=False)
+    return out
+
+
+def old_error_vectors(n, wmax):
+    """old_errors_at_weight for w = 1..wmax, weight-ascending."""
+    return np.vstack([old_errors_at_weight(n, w) for w in range(1, wmax + 1)] or [np.zeros((0, 2 * n), np.uint8)])
+
+
 def old_first_logical(code, errs):
     """First zero-syndrome row of errs outside the group, one rank test per
     error: the per-error loop behind verify_path and code_distance before
@@ -58,7 +84,7 @@ def old_first_logical(code, errs):
 def old_verify_path(path, d):
     """(failing index, witness) of the first intermediate with a logical
     of weight < d, or (None, None), by the per-error loop."""
-    errs = analysis.error_vectors(path.n, d - 1)
+    errs = old_error_vectors(path.n, d - 1)
     for idx, code in enumerate(path.intermediates):
         hit = old_first_logical(code, errs)
         if hit is not None:
@@ -69,7 +95,7 @@ def old_verify_path(path, d):
 def old_code_distance(code, cap):
     """(distance, exact, witness) by the per-error loop."""
     for w in range(1, min(cap, code.n) + 1):
-        hit = old_first_logical(code, analysis._errors_at_weight(code.n, w))
+        hit = old_first_logical(code, old_errors_at_weight(code.n, w))
         if hit is not None:
             return w, True, PauliOp.from_vector(hit)
     return min(cap, code.n) + 1, False, None
@@ -81,7 +107,7 @@ def old_step_subsystem_distance(pre_code, step):
     rest = np.delete(pre_code.generator_matrix, idx, axis=0)
     gauge = np.vstack([rest, step.correct.vector, step.measure.vector])
     for w in range(1, pre_code.n + 1):
-        for v in gf2.commuting_rows(rest, analysis._errors_at_weight(pre_code.n, w)):
+        for v in gf2.commuting_rows(rest, old_errors_at_weight(pre_code.n, w)):
             try:
                 coeff, _ = gf2.solve_affine(gauge.T, v)
             except gf2.InconsistentSystemError:

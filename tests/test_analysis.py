@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import in_rowspace, naive_distance, old_code_distance, old_step_subsystem_distance, old_verify_path
+from conftest import (
+    in_rowspace,
+    naive_distance,
+    old_code_distance,
+    old_error_vectors,
+    old_errors_at_weight,
+    old_step_subsystem_distance,
+    old_verify_path,
+)
 from stabswitch import analysis, catalog, gf2, pauli, rewiring
 from stabswitch.analysis import ErrorClass
 from stabswitch.pauli import PauliOp, StabilizerCode
@@ -34,6 +42,10 @@ class TestCodeDistance:
         code = StabilizerCode.from_strings(["ZZ", "XX"])
         with pytest.raises(analysis.ZeroLogicalQubitsError):
             analysis.code_distance(code, cap=2)
+
+    def test_cap_below_one_rejected(self, steane7):
+        with pytest.raises(ValueError, match="cap"):
+            analysis.code_distance(steane7, cap=0)
 
     def test_agrees_with_naive_oracle(self, perfect5, steane7):
         rng = np.random.default_rng(17)
@@ -282,6 +294,124 @@ class TestSyndromeTestMatchesOraclesOnRandomCodes:
             assert dist <= PauliOp.from_vector(step.measure.vector ^ step.correct.vector).weight
             steps += 1
         assert steps >= 300
+
+
+class TestErrorTables:
+    """The letter tables list the errors of the loop enumerator, in its order."""
+
+    @pytest.mark.parametrize("n, w", [(1, 1), (7, 2), (12, 3), (17, 3), (25, 2)])
+    def test_match_loop_enumerator(self, n, w):
+        at_weight = analysis._errors_at_weight(n, w)
+        assert at_weight.dtype == np.uint8 and np.array_equal(at_weight, old_errors_at_weight(n, w))
+        vectors = analysis.error_vectors(n, w)
+        assert vectors.dtype == np.uint8 and np.array_equal(vectors, old_error_vectors(n, w))
+
+    def test_letters(self):
+        assert analysis._letters(85, 2).dtype == np.uint8 and analysis._letters(86, 2).dtype == np.uint16
+        assert analysis._letters(86, 2).max() == 3 * 86 - 1
+        assert not analysis._letters(7, 2).flags.writeable
+        assert analysis._letters(3, 4).shape == (0, 4)
+        assert analysis.error_vectors(5, 0).shape == (0, 10)
+
+
+def after_bell_pairs(code, pairs):
+    """code on the last qubits after `pairs` Bell pairs (generators XX, ZZ),
+    whose generators come first: code's generators and logicals sit past
+    row 64 of the syndrome words once pairs >= 32."""
+    n = 2 * pairs + code.n
+    rows = []
+    for p in range(pairs):
+        for half in (0, n):
+            v = np.zeros(2 * n, dtype=np.uint8)
+            v[[half + 2 * p, half + 2 * p + 1]] = 1
+            rows.append(v)
+    for g in code.generator_matrix:
+        v = np.zeros(2 * n, dtype=np.uint8)
+        v[2 * pairs : n], v[n + 2 * pairs :] = g[: code.n], g[code.n :]
+        rows.append(v)
+    return StabilizerCode(n, tuple(PauliOp.from_vector(v) for v in rows))
+
+
+class TestSyndromeWordsMatchOracles:
+    """code_distance and step_subsystem_distance read each error's syndrome
+    words as the XOR of its letters' words; on seeded random codes (n 1..12,
+    every k, some with no generators) and on codes with n + k > 64, whose
+    rows fill more than one word, they must agree with the loop oracles."""
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        rng = np.random.default_rng(1609)
+        out = []
+        for i in range(396):
+            n = 1 + i % 12
+            out.append(pauli.random_stabilizer_code(n, (i // 12) % (n + 1), rng))
+        return out
+
+    @pytest.fixture(scope="class")
+    def wide_codes(self, perfect5, steane7):
+        rng = np.random.default_rng(66)
+        c422 = StabilizerCode.from_strings(["XXXX", "ZZZZ"])
+        out = [after_bell_pairs(c422, 32), after_bell_pairs(perfect5, 31), after_bell_pairs(steane7, 30)]
+        out += [pauli.random_stabilizer_code(n, k, rng) for n, k in ((66, 1), (67, 3), (68, 30), (69, 65), (70, 68))]
+        return out
+
+    def test_codes_cover_the_range(self, codes, wide_codes):
+        assert len(codes) >= 300
+        assert {(c.n, c.k) for c in codes} == {(n, k) for n in range(1, 13) for k in range(n + 1)}
+        assert all(c.n + c.k > 64 for c in wide_codes) and len(wide_codes) >= 5
+
+    def test_code_distance(self, codes):
+        rng = np.random.default_rng(3)
+        for code in codes:
+            if code.k == 0:
+                with pytest.raises(analysis.ZeroLogicalQubitsError):
+                    analysis.code_distance(code, code.n)
+                continue
+            rep = analysis.code_distance(code, code.n)
+            assert rep.exact
+            if code.n + code.k <= 11:  # naive_distance walks all 2^(n+k) normalizer elements
+                assert rep.distance == naive_distance(code)
+            for cap in (code.n, int(rng.integers(1, code.n + 1))):
+                rep = analysis.code_distance(code, cap)
+                assert (rep.distance, rep.exact, rep.witness) == old_code_distance(code, cap)
+
+    def test_step_subsystem_distance(self, codes):
+        rng = np.random.default_rng(5)
+        steps = 0
+        for code in codes:
+            if not code.gens:
+                continue
+            step = random_step(code, rng)
+            assert analysis.step_subsystem_distance(code, step) == old_step_subsystem_distance(code, step)
+            steps += 1
+        assert steps >= 300
+
+    def test_wide_code_distance(self, wide_codes):
+        exact = 0
+        for code in wide_codes:
+            for cap in (1, 2):
+                rep = analysis.code_distance(code, cap)
+                assert (rep.distance, rep.exact, rep.witness) == old_code_distance(code, cap)
+                exact += rep.exact
+        assert analysis.code_distance(wide_codes[0], 2).distance == 2  # [[4,2,2]]'s rows sit past row 64
+        assert exact and exact < 2 * len(wide_codes)
+
+    def test_wide_step_subsystem_distance(self, wide_codes):
+        c422 = wide_codes[0]
+        x_block = PauliOp.from_string("I" * 64 + "XIII")
+        z_pair = PauliOp.from_string("Z" + "I" * 67)
+        steps = [
+            (c422, rewiring.ConversionStep(x_block, c422.gens[65], 65)),  # replaces ZZZZ: dressed X on the block
+            (c422, rewiring.ConversionStep(z_pair, c422.gens[0], 0)),  # replaces a Bell XX by one of its Z's
+        ]
+        rng = np.random.default_rng(9)
+        steps += [(code, random_step(code, rng)) for code in wide_codes if len(code.gens) <= 4]
+        dists = []
+        for code, step in steps:
+            assert len(code.gens) + 1 + 2 * code.k > 64
+            dists.append(analysis.step_subsystem_distance(code, step))
+            assert dists[-1] == old_step_subsystem_distance(code, step)
+        assert dists[:2] == [1, 2] and len(steps) == 4
 
 
 class TestDetectable:

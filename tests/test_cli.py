@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -289,6 +290,27 @@ class TestBounds:
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(len(line) < 200 for line in lines)
         assert not any("inf)" in line for line in lines if line.startswith("min ancillas"))
+
+    def test_tiny_lemma1_values_print_in_exponent_form(self, capsys):
+        assert run("bounds", "--lemma1", "26") == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "= 3.576279e-07" in out and "(n-1)/2^n: 3.725290e-07" in out
+        assert "0.000000" not in out
+
+    def test_lemma1_up_to_25_prints_the_pinned_bytes(self, capsys):
+        # sha256 of `bounds --lemma1 N` for N = 1..25, before tiny values switched to exponent form
+        for n in range(1, 26):
+            assert run("bounds", "--lemma1", str(n)) == cli.EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "d15224936bb03f37a34110f72a1f4a2ea94a24c0e0e75ea723f946a6e471d6fa"
+
+    def test_overflowed_rows_print_as_one_line(self, capsys):
+        assert run("bounds", "--n", "1000", "--d", "600", "--eps", "0.01", "--min-ancilla") == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1379
+        assert [line for line in lines if "raw=inf" in line] == ["  m=0..2145  raw=inf  effective=1.000000"]
+        assert lines[2] == "  m=2146  raw=1.704634e+308  effective=1.000000"
+        assert lines[-1] == "min ancillas for eps=0.01: m = 3519 (scale d*ln(n/d)+ln(1/eps) = 311.101)"
 
     @pytest.mark.parametrize("extra", [[], ["--lemma1", "3"]])
     def test_bound_outside_its_domain_prints_nothing(self, capsys, extra):
