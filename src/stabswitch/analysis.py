@@ -7,11 +7,10 @@ This is exponential in the weight cap and intended for desk-scale codes.
 An error is undetectable when it commutes with every generator and
 anticommutes with a row of StabilizerCode.logical_basis; every check
 reads that off syndromes, with no group-membership elimination.
-undetectable tests one code against a list of error vectors,
-exchange_walk every code a sequence of exchanges reaches (a path, or a
-stack of search draws) from one product, and code_distance and
-step_subsystem_distance (a step's gauge group, whose logicals are
-transported across the step) one code weight by weight.
+undetectable tests one code, exchange_walk every code a sequence of
+exchanges reaches (a path, or a stack of search draws) from one product,
+and step_subsystem_distance a step's gauge group, whose logicals are
+transported across the step.
 
 The enumeration lists each error by its letters, not its vector: entry
 3q + {X: 0, Y: 1, Z: 2} names one single-qubit Pauli (_letters).
