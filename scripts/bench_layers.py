@@ -16,13 +16,18 @@ script records:
   trials of each of its two states, inject_and_check) on one fixed
   seeded steane7 -> rm15 path at m=2 (n=17), of undetectable on that
   pair's padded source code against the weight <= d-1 error list and of
-  code_distance with cap 4 on that code (its logical_basis warm), and
-  ms per retry of `search` on steane7 -> (34)-steane7 at m=1, which has
-  no path and so spends all of its 60 retries, in a child process
-  importing that side's src/.  LAYER_PAIRS parent/change child pairs
-  run, the side that runs first alternating, and each layer keeps every
-  run and each side's quartiles, so machine drift shows up as spread,
-  not as a change;
+  code_distance with cap 4 on that code (its logical_basis warm), ms
+  per retry of `search` on steane7 -> (34)-steane7 at m=1, which has
+  no path and so spends all of its 60 retries, and ms per call of
+  `DrawScreen.reject` on one 64-draw chunk of that search, in a child
+  process importing that side's src/;
+- ms and peak RSS (`ru_maxrss`) of one `exchange_walk`, error table
+  included, over every error of weight <= 4 on a seeded random [[25,1]]
+  code with WALK_EXCHANGES random adjacent exchanges, in a second,
+  fresh child.  LAYER_PAIRS parent/change pairs of both children run,
+  the side that runs first alternating, and each layer keeps every run
+  and each side's quartiles, so machine drift shows up as spread, not
+  as a change;
 - the `bench/run.py` end-to-end metrics of the named workloads, from
   PAIRS parent/change pairs of SECONDS-long runs per seed (the side
   that runs first alternates), with every run and each side's quartiles;
@@ -54,6 +59,7 @@ SIM_TRIALS = 10  # simulate_trials layer: trials per encoded state (+Z, +X)
 MIN_BATCH_S = 0.05
 REPEATS = 7
 LAYER_PAIRS = 5  # alternating parent/change layer-timing child pairs
+WALK_N, WALK_K, WALK_WEIGHT, WALK_EXCHANGES = 25, 1, 4, 6  # the exchange_walk child's code and walk
 PAIRS = 10  # alternating parent/change bench/run.py pairs per workload and seed
 SECONDS = 30  # bench/run.py --seconds, the run length BENCHMARK.json sets
 
@@ -117,6 +123,12 @@ def time_layers() -> dict:
             return
         raise AssertionError("steane7 -> (34)-steane7 has no distance-3 path at m=1")
 
+    st34_base = rewiring.decompose(
+        *rewiring.pad(src, st34, 1), m=1, ancilla_qubits=rewiring.ancilla_qubits_for(src, st34, 1)
+    )
+    screen = rewiring.DrawScreen.of(st34_base, d)
+    chunk = rewiring.draw_chunk(st34_base, search_cfg, range(64))
+
     def encode_run():
         t = tableau.encode(path.source, frame, "+Z")
         tableau.run_path(t, path, np.random.default_rng(0))
@@ -141,6 +153,7 @@ def time_layers() -> dict:
         "undetectable": (lambda: analysis.undetectable(padded_source, errs), 1),
         "code_distance cap=4": (lambda: analysis.code_distance(padded_source, 4), 1),
         "search": (exhausted_search, search_cfg.max_retries),
+        "DrawScreen.reject": (lambda: screen.reject(chunk, 0), 1),
     }
     return {
         "input": (
@@ -151,16 +164,57 @@ def time_layers() -> dict:
     }
 
 
+def time_walk() -> dict:
+    """ms and peak RSS of one exchange_walk, from building its error table
+    to its last mask, for the stabswitch found on sys.path; run it in a
+    fresh process, so that the RSS is the walk's own."""
+    import resource
+
+    import numpy as np
+
+    from stabswitch import analysis, gf2, pauli
+
+    rng = np.random.default_rng(LAYER_SEED)
+    code = pauli.random_stabilizer_code(WALK_N, WALK_K, rng)
+    g = code.generator_matrix
+    rows, live, exchanges = list(g), list(range(len(g))), []
+    for slot in rng.integers(len(g), size=WALK_EXCHANGES):
+        rhs = (np.arange(len(g)) == slot).astype(np.uint8)
+        x0, ker = gf2.solve_affine(gf2.swap_xz(np.array([rows[s] for s in live])), rhs)
+        exchanges.append((int(slot), len(rows)))
+        live[slot] = len(rows)
+        rows.append(((x0 + rng.integers(0, 2, len(ker)) @ ker) % 2).astype(np.uint8))
+    logicals = code.logical_basis
+    t0 = time.perf_counter()
+    if hasattr(analysis, "_error_letters"):
+        errors = analysis._error_letters(WALK_N, WALK_WEIGHT)
+    else:  # a checkout whose walk still takes error vectors
+        errors = analysis.error_vectors(WALK_N, WALK_WEIGHT)
+    masks = analysis.exchange_walk(np.array(rows), range(len(g)), exchanges, logicals, errors)
+    hidden = sum(int(mask.sum()) for mask in masks)
+    return {
+        "input": f"random [[{WALK_N},{WALK_K}]] (seed {LAYER_SEED}), {WALK_EXCHANGES} exchanges, "
+        f"weight <= {WALK_WEIGHT}",
+        "ms": round((time.perf_counter() - t0) * 1e3, 2),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "undetectable": hidden,
+    }
+
+
 def _child_env(checkout: Path) -> dict:
     return {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
 
 
-def layers_of(checkout: Path) -> dict:
+def _child(checkout: Path, flag: str) -> dict:
     out = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--layers-only"],
+        [sys.executable, str(Path(__file__).resolve()), flag],
         env=_child_env(checkout), capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def layers_of(checkout: Path) -> dict:
+    return {**_child(checkout, "--layers-only"), "walk": _child(checkout, "--walk-only")}
 
 
 def bench_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -203,7 +257,16 @@ def compare_layers(parent: Path) -> dict:
             name: {side: _quartiles([r["ms_per_call"][name] for r in side_runs]) for side, side_runs in runs.items()}
             for name in names
         },
-        "runs": {side: [r["ms_per_call"] for r in side_runs] for side, side_runs in runs.items()},
+        "walk": {
+            "input": runs["parent"][0]["walk"]["input"],
+            **{
+                name: {side: _quartiles([r["walk"][name] for r in side_runs]) for side, side_runs in runs.items()}
+                for name in ("ms", "peak_rss_mb")
+            },
+        },
+        "runs": {
+            side: [{**r["ms_per_call"], "walk": r["walk"]} for r in side_runs] for side, side_runs in runs.items()
+        },
     }
 
 
@@ -271,10 +334,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--no-tier1", action="store_true", help="skip the two Tier-1 runs")
     ap.add_argument("--layers-only", action="store_true", help="print this interpreter's layer timings and exit")
+    ap.add_argument("--walk-only", action="store_true", help="print this process's exchange_walk timing and exit")
     args = ap.parse_args(argv)
 
     if args.layers_only:
         print(json.dumps(time_layers()))
+        return 0
+    if args.walk_only:
+        print(json.dumps(time_walk()))
         return 0
     if args.parent is None or args.out is None:
         ap.error("--parent and --out are required")

@@ -12,12 +12,12 @@ exchanges reaches (a path, or a stack of search draws) from one product,
 and step_subsystem_distance a step's gauge group, whose logicals are
 transported across the step.
 
-The enumeration lists each error by its letters, not its vector: entry
-3q + {X: 0, Y: 1, Z: 2} names one single-qubit Pauli (_letters).
-Syndromes are linear, so code_distance and step_subsystem_distance take
-the symplectic products of the 3n single-qubit Paulis with their rows
-once, pack them 64 rows to a uint64 word, and read each error's
-syndrome words as the XOR of the words of its letters.
+An error is listed by its letters, not its vector: entry 3q + {X: 0,
+Y: 1, Z: 2} names a single-qubit Pauli, 3n the identity that pads lighter
+errors (_letters, _error_letters).  Syndromes are linear, so every check
+runs one kernel: the products of the single-qubit Paulis with its rows,
+packed 64 rows to a uint64 word (_letter_words), then each error's words
+as the XOR of its letters' words (_xor_rows), as for a witness vector.
 
 The failure-probability bound combines a union bound over low-weight
 errors with a Chernoff estimate of their count; see failure_bound for
@@ -57,9 +57,9 @@ _ENUMERATION_LOG2_BUDGET = 20  # masking_enumerate's cap on log2 of its 2^(n^2) 
 
 @lru_cache(maxsize=None)
 def _single_qubit_paulis(n: int) -> np.ndarray:
-    """The (3n, 2n) table of single-qubit Paulis: row 3q + {X: 0, Y: 1, Z: 2}."""
+    """The (3n + 1, 2n) table of single-qubit Paulis, row 3q + {X: 0, Y: 1, Z: 2}, then the identity."""
     xz = np.kron(gf2.identity(n), np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8))  # columns x0 z0 x1 z1 ...
-    out = np.hstack([xz[:, 0::2], xz[:, 1::2]])
+    out = np.vstack([np.hstack([xz[:, 0::2], xz[:, 1::2]]), gf2.zeros((1, 2 * n))])
     out.setflags(write=False)
     return out
 
@@ -77,39 +77,47 @@ def _letters(n: int, w: int) -> np.ndarray:
     return out
 
 
-def _errors_at_weight(n: int, w: int) -> np.ndarray:
-    """All weight-w error vectors on n qubits, in enumeration order."""
-    singles, out = _single_qubit_paulis(n), gf2.zeros((math.comb(n, w) * 3**w, 2 * n))
-    for col in _letters(n, w).T:
-        out ^= singles.take(col, axis=0)
+def _error_letters(n: int, wmax: int) -> np.ndarray:
+    """The errors of weight 1..wmax, weight-ascending, as _letters padded to wmax letters by the identity 3n."""
+    padded = [np.pad(_letters(n, w), ((0, 0), (0, wmax - w)), constant_values=3 * n) for w in range(1, wmax + 1)]
+    return np.vstack([np.zeros((0, wmax), dtype=np.min_scalar_type(3 * n)), *padded])
+
+
+def _xor_rows(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Per row of letters, the XOR of the table rows (axis -2) it names."""
+    out = np.zeros((*table.shape[:-2], len(letters), table.shape[-1]), dtype=table.dtype)
+    for col in letters.T:
+        out ^= table.take(col, axis=-2)
     return out
 
 
 def error_vectors(n: int, wmax: int) -> np.ndarray:
     """All error vectors of weight 1..wmax on n qubits, weight-ascending."""
-    return np.vstack([gf2.zeros((0, 2 * n)), *(_errors_at_weight(n, w) for w in range(1, wmax + 1))])
+    return _xor_rows(_single_qubit_paulis(n), _error_letters(n, wmax))
 
 
 def _words(bits: np.ndarray) -> np.ndarray:
     """The last axis of a 0/1 array as uint64 words: bit i in word i // 64."""
     padded = np.zeros((*bits.shape[:-1], -(-bits.shape[-1] // 64) * 64), dtype=np.uint8)
     padded[..., : bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(*bits.shape[:-1], padded.shape[-1] // 64)
+
+
+def _letter_words(rows: np.ndarray) -> np.ndarray:
+    """The (..., 3n + 1, ceil(R / 64)) syndrome words of _single_qubit_paulis against rows (..., R, 2n)."""
+    return _words(gf2.matmul(_single_qubit_paulis(rows.shape[-1] // 2), gf2.swap_xz(rows).swapaxes(-1, -2)))
 
 
 def _quiet_syndromes(blocks: Sequence[np.ndarray], n: int, wmax: int) -> Iterator[tuple[np.ndarray, list]]:
     """For w = 1..wmax, the letters of the weight-w errors commuting with
     blocks[0] and, per later block of rows, the mask of those errors
-    anticommuting with a row of it.  An error's syndrome words are the XOR
-    of its letters' words, one product of all rows with the 3n letters."""
+    anticommuting with a row of it."""
     owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
     masks = _words(owner == np.arange(len(blocks))[:, None])
-    words = _words(gf2.symplectic_products(np.vstack(blocks), _single_qubit_paulis(n)).T)
+    words = _letter_words(np.vstack(blocks))
     for w in range(1, wmax + 1):
         letters = _letters(n, w)
-        syn = words.take(letters[:, 0], axis=0)
-        for col in letters.T[1:]:
-            syn ^= words.take(col, axis=0)
+        syn = _xor_rows(words, letters)
         quiet = np.flatnonzero(~(syn & masks[0]).any(axis=1))
         syn = syn.take(quiet, axis=0)
         yield letters[quiet], [(syn & mask).any(axis=1) for mask in masks[1:]]
@@ -160,7 +168,7 @@ def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
     for w, (letters, (logicals,)) in enumerate(_quiet_syndromes(blocks, code.n, wmax), 1):
         hits = np.flatnonzero(logicals)
         if hits.size:
-            witness = np.bitwise_xor.reduce(_single_qubit_paulis(code.n)[letters[hits[0]]])
+            witness = _xor_rows(_single_qubit_paulis(code.n), letters[hits[:1]])[0]
             return DistanceReport(w, True, PauliOp.from_vector(witness))
     return DistanceReport(wmax + 1, False, None)
 
@@ -170,7 +178,7 @@ def exchange_walk(
     live: Sequence[int],
     exchanges: Sequence[tuple[int, int]],
     logicals: np.ndarray,
-    errors: np.ndarray,
+    letters: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """Undetectable errors of a code and of each code its exchanges reach.
 
@@ -178,32 +186,49 @@ def exchange_walk(
     draw of a search chunk); generator slot i of the first code holds row
     live[i], exchange (slot, row) puts row in that slot, and logicals is
     the first code's logical_basis.  Yields, for the first code and
-    after each exchange, the (..., E) mask of the errors commuting with
-    every live generator but anticommuting with a carried logical.  The
-    logicals anticommuting with an incoming row take on the outgoing
-    one, so all syndromes come from one product over rows and errors.
+    after each exchange, the (..., E) mask of the errors (rows of
+    letters) commuting with every live generator but anticommuting with a
+    carried logical.  An error's syndrome words hold a bit per row, then
+    per logical; the logicals anticommuting with an incoming row take on
+    the outgoing one, and their bits take on its bit.
     """
-    swapped = gf2.swap_xz(rows)
-    syn = gf2.matmul(swapped, errors.T)
-    slots = list(live)
-    logicals = np.broadcast_to(logicals, (*rows.shape[:-2], *logicals.shape)).copy()
-    log_syn = gf2.matmul(gf2.swap_xz(logicals), errors.T)
-    for slot, row in exchanges:
-        yield log_syn.any(axis=-2) & ~syn[..., slots, :].any(axis=-2)
-        out, slots[slot] = slots[slot], row
-        flip = gf2.matmul(logicals, swapped[..., row, :, None])
-        logicals ^= flip & rows[..., None, out, :]
-        log_syn ^= flip & syn[..., None, out, :]
-    yield log_syn.any(axis=-2) & ~syn[..., slots, :].any(axis=-2)
+    size = rows.shape[-2]
+    outs, logical, held, flips = _walk_masks(tuple(live), tuple(exchanges), size, len(logicals))
+    stack = np.empty((*rows.shape[:-2], size + len(logicals), rows.shape[-1]), dtype=np.uint8)
+    stack[..., :size, :], stack[..., size:, :] = rows, logicals
+    syn = _xor_rows(_letter_words(stack), letters)
+    carried, swapped = stack[..., size:, :], gf2.swap_xz(rows)
+    for out, (_, row), mask in zip(outs, exchanges, held):
+        yield (syn & logical).any(axis=-1) & ~(syn & mask).any(axis=-1)
+        flip = np.bitwise_xor.reduce(carried & swapped[..., None, row, :], axis=-1)
+        carried ^= flip[..., None] & rows[..., None, out, :]
+        hit = (syn[..., out // 64] & np.uint64(1 << out % 64)).astype(bool)
+        syn ^= hit[..., None] * (flip @ flips)[..., None, :]
+    yield (syn & logical).any(axis=-1) & ~(syn & held[-1]).any(axis=-1)
 
 
-def path_walk(path, errors: np.ndarray) -> Iterator[np.ndarray]:
+@lru_cache(maxsize=64)
+def _walk_masks(live: tuple, exchanges: tuple, size: int, logicals: int) -> tuple:
+    """What exchange_walk reads off its plan alone, once per plan: each
+    exchange's outgoing row and the word masks of all logicals, of each
+    code's live rows and of each logical (bits: rows, then logicals)."""
+    slots, outs, held = list(live), [], np.zeros((len(exchanges) + 1, size + logicals), dtype=bool)
+    for j, (slot, row) in enumerate(exchanges):
+        held[j, slots] = True
+        outs.append(slots[slot])
+        slots[slot] = row
+    held[-1, slots] = True
+    each = np.eye(logicals, size + logicals, size, dtype=bool)
+    return tuple(outs), _words(each.any(axis=0)), _words(held), _words(each)
+
+
+def path_walk(path, letters: np.ndarray) -> Iterator[np.ndarray]:
     """exchange_walk over a path's intermediates: the generators of
     path.start, then one row per step's measured operator."""
     g = path.start.generator_matrix
     rows = np.vstack([g, *(step.measure.vector for step in path.steps)])
     exchanges = [(step.replaced_index, len(g) + j) for j, step in enumerate(path.steps)]
-    return exchange_walk(rows, range(len(g)), exchanges, path.start.logical_basis, errors)
+    return exchange_walk(rows, range(len(g)), exchanges, path.start.logical_basis, letters)
 
 
 @dataclass(frozen=True)
@@ -221,10 +246,10 @@ def verify_path(path, d: int) -> PathReport:
     with a minimum-weight logical witness.
     """
     reports: list[DistanceReport] = []
-    errs = error_vectors(path.n, d - 1)
-    for idx, bad in enumerate(path_walk(path, errs)):
+    letters = _error_letters(path.n, d - 1)
+    for idx, bad in enumerate(path_walk(path, letters)):
         if bad.any():
-            witness = PauliOp.from_vector(errs[bad.argmax()])
+            witness = PauliOp.from_vector(_xor_rows(_single_qubit_paulis(path.n), letters[[bad.argmax()]])[0])
             reports.append(DistanceReport(witness.weight, True, witness))
             return PathReport(False, idx, witness, tuple(reports))
         reports.append(DistanceReport(d, False, None))

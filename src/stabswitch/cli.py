@@ -4,8 +4,9 @@ Subcommands: convert (randomized search for a distance-preserving
 path), verify (re-check a path file), simulate (run the measure-and-
 correct channel on encoded states), bounds (failure bound, minimal
 ancilla count, masking probabilities), and reproduce (bundled reference
-conversions).  Exit codes: 0 success, 2 search exhausted, 64 usage
-error, 65 malformed path file, 74 I/O error.
+conversions).  Exit codes: 0 success, 1 a check failed (verify,
+simulate, reproduce), 2 search exhausted, 64 usage error, 65 malformed
+path file, 74 I/O error.
 
 Every command is deterministic given --seed; machine-readable JSON goes
 only to files named by --out style flags, stdout stays human-readable.
@@ -26,6 +27,7 @@ import numpy as np
 from . import analysis, catalog, fixtures, gadgets, rewiring, tableau
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_EXHAUSTED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
@@ -136,7 +138,7 @@ def cmd_verify(args) -> int:
         print("all intermediate codes pass")
         return EXIT_OK
     print(f"first failure at code {report.failing_index}")
-    return 1
+    return EXIT_FAILED
 
 
 def _forced_schedule(spec: str | None, steps: int):
@@ -176,7 +178,7 @@ def cmd_simulate(args) -> int:
         failures += failure is not None
         print(f"  state {spec} trial {trial}: {'pass' if failure is None else 'FAIL ' + failure}")
     print(f"{total - failures}/{total} trials preserved the logical information")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_FAILED
 
 
 def _probability(p: float) -> str:
@@ -267,7 +269,7 @@ def cmd_reproduce(args) -> int:
     if sim_fail:
         ok = False
     print(f"{name}: {'all checks pass' if ok else 'CHECKS FAILED'}")
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def build_parser() -> _Parser:

@@ -94,12 +94,6 @@ def symplectic_products(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return matmul(swap_xz(rows), cols.T)
 
 
-def commuting_rows(ops: np.ndarray, errs: np.ndarray) -> np.ndarray:
-    """The rows of errs that commute with every row of ops, in order."""
-    errs = np.atleast_2d(errs)
-    return errs[~symplectic_products(ops, errs).any(axis=0)]
-
-
 def _pack(m: np.ndarray) -> tuple[list[int], int]:
     """The rows of a 0/1 matrix as Python ints, and their bit width."""
     packed = np.packbits(m, axis=1)

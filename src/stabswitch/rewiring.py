@@ -86,9 +86,9 @@ class SearchExhaustedError(RuntimeError):
         )
 
 
-# search screens <= _MAX_CHUNK retries at once, fewer if their syndromes would pass _MAX_SYNDROMES bits
+# search screens <= _MAX_CHUNK retries at once, fewer if draws x errors x words would pass _MAX_SYNDROMES
 _MAX_CHUNK = 64
-_MAX_SYNDROMES = 1 << 16
+_MAX_SYNDROMES = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,20 +552,21 @@ def build_path(dec: Decomposition) -> ConversionPath:
 class DrawScreen:
     """Per-search tables that run verify_path's check on a draw's rows.
 
-    errors are the weight < d error vectors that commute with the shared
-    block, in analysis.error_vectors order; logicals is the padded
-    source's logical_basis.  Shared rows take no part in an exchange and
-    every screened error commutes with them, so the screen walks only
-    the other blocks.
+    letters lists the weight < d errors that commute with the shared
+    block, in verify_path's order (analysis._error_letters); logicals is
+    the padded source's logical_basis.  Shared rows take no part in an
+    exchange and every screened error commutes with them, so the screen
+    walks only the other blocks.
     """
 
-    errors: np.ndarray
+    letters: np.ndarray
     logicals: np.ndarray
 
     @classmethod
     def of(cls, dec: Decomposition, d: int) -> "DrawScreen":
-        errs = analysis.error_vectors(dec.padded_n, d - 1)
-        return cls(gf2.commuting_rows(dec.shared, errs), dec.source.logical_basis)
+        letters = analysis._error_letters(dec.padded_n, d - 1)
+        shared = analysis._xor_rows(analysis._letter_words(dec.shared), letters)
+        return cls(letters[~shared.any(axis=1)], dec.source.logical_basis)
 
     def reject(self, chunk: Decomposition, start: int) -> list[Rejection]:
         """A Rejection for each draw of the chunk (draw i is retry start + i)
@@ -576,18 +577,21 @@ class DrawScreen:
         count, c, _ = chunk.direct_src.shape
         bridges = chunk.bridges if b else chunk.bridged_src
         blocks = (chunk.bridged_src, chunk.direct_src, bridges, chunk.bridged_tgt, chunk.direct_tgt)
-        rows = np.concatenate([np.broadcast_to(x, (count, *x.shape[-2:])) for x in blocks], axis=1)
+        rows = np.concatenate([x if x.ndim == 3 else x[None].repeat(count, axis=0) for x in blocks], axis=1)
         exchanges = [(slot - a, b + c + row) for slot, row in chunk.plan]
         failing, witness = np.full(count, -1), np.zeros(count, dtype=int)
-        for j, bad in enumerate(analysis.exchange_walk(rows, range(b + c), exchanges, self.logicals, self.errors)):
+        for j, bad in enumerate(analysis.exchange_walk(rows, range(b + c), exchanges, self.logicals, self.letters)):
             new = bad.any(axis=1) & (failing < 0)
             if new.any():  # argmax raises on the empty rows d = 1 leaves (no error columns)
                 failing[new], witness[new] = j, bad[new].argmax(axis=1)
             if (failing >= 0).all():
                 break
         stop = next(iter(np.flatnonzero(failing < 0)), count)
-        ops = {w: PauliOp.from_vector(self.errors[w]) for w in set(witness[:stop].tolist())}
-        return [Rejection(start + i, int(failing[i]), ops[witness[i]]) for i in range(stop)]
+        failing, witness = failing[:stop].tolist(), witness[:stop].tolist()
+        keys = sorted(set(witness))
+        vectors = analysis._xor_rows(analysis._single_qubit_paulis(chunk.padded_n), self.letters[keys])
+        ops = dict(zip(keys, map(PauliOp.from_vector, vectors)))
+        return [Rejection(start + i, f, ops[w]) for i, (f, w) in enumerate(zip(failing, witness))]
 
 
 @dataclass(frozen=True)
@@ -642,7 +646,8 @@ def search(
     base = decompose(*pad(source, target, config.m), m=config.m, ancilla_qubits=ancilla)
     screen = DrawScreen.of(base, config.min_distance)
     _, b, c = base.counts()
-    cap = max(1, min(_MAX_CHUNK, _MAX_SYNDROMES // max(1, (3 * b + 2 * c) * len(screen.errors))))
+    words = -(-(3 * b + 2 * c + len(screen.logicals)) // 64)
+    cap = max(1, min(_MAX_CHUNK, _MAX_SYNDROMES // max(1, words * len(screen.letters))))
     rejected = floor = 0
     size = 1
     while rejected < config.max_retries:

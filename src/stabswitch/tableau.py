@@ -362,15 +362,15 @@ def inject_and_check(path, error_weight_cap: int) -> InjectionReport:
     Keeps every hit of verify_path's analysis.path_walk.  No syndrome
     readout is simulated, so `syndrome_mismatches` is always 0.
     """
-    vectors = analysis.error_vectors(path.n, error_weight_cap)
+    letters = analysis._error_letters(path.n, error_weight_cap)
     failures = [
-        (idx, PauliOp.from_vector(vectors[i]))
-        for idx, bad in enumerate(analysis.path_walk(path, vectors))
-        for i in np.flatnonzero(bad)
+        (idx, PauliOp.from_vector(v))
+        for idx, bad in enumerate(analysis.path_walk(path, letters))
+        for v in analysis._xor_rows(analysis._single_qubit_paulis(path.n), letters[bad])
     ]
     return InjectionReport(
         ok=not failures,
         failures=tuple(failures),
-        errors_checked=len(vectors) * len(path.intermediates),
+        errors_checked=len(letters) * len(path.intermediates),
         syndrome_mismatches=0,
     )

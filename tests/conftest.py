@@ -75,7 +75,7 @@ def old_first_logical(code, errs):
     error: the per-error loop behind verify_path and code_distance before
     they batched the membership test."""
     g = code.generator_matrix
-    for v in gf2.commuting_rows(g, errs):
+    for v in errs[~gf2.symplectic_products(g, errs).any(axis=0)]:
         if not in_rowspace(g, v):
             return v
     return None
@@ -107,7 +107,8 @@ def old_step_subsystem_distance(pre_code, step):
     rest = np.delete(pre_code.generator_matrix, idx, axis=0)
     gauge = np.vstack([rest, step.correct.vector, step.measure.vector])
     for w in range(1, pre_code.n + 1):
-        for v in gf2.commuting_rows(rest, old_errors_at_weight(pre_code.n, w)):
+        errs = old_errors_at_weight(pre_code.n, w)
+        for v in errs[~gf2.symplectic_products(rest, errs).any(axis=0)]:
             try:
                 coeff, _ = gf2.solve_affine(gauge.T, v)
             except gf2.InconsistentSystemError:

@@ -10,7 +10,6 @@ from conftest import (
     naive_distance,
     old_code_distance,
     old_error_vectors,
-    old_errors_at_weight,
     old_step_subsystem_distance,
     old_verify_path,
 )
@@ -86,6 +85,22 @@ class TestVerifyPath:
                 assert analysis.detectable(code, PauliOp.from_vector(v))
 
 
+def random_walk(code, slots, rng):
+    """Rows, exchanges and reached codes of a walk from code that exchanges
+    the given generator slots in turn, each incoming row drawn at random
+    among those anticommuting with that slot's generator and no other."""
+    g = code.generator_matrix
+    rows, live, exchanges, codes = list(g), list(range(len(g))), [], [code]
+    for slot in slots:
+        rhs = (np.arange(len(g)) == slot).astype(np.uint8)
+        x0, ker = gf2.solve_affine(gf2.swap_xz(np.array([rows[s] for s in live])), rhs)
+        exchanges.append((int(slot), len(rows)))
+        live[slot] = len(rows)
+        rows.append(((x0 + rng.integers(0, 2, len(ker)) @ ker) % 2).astype(np.uint8))
+        codes.append(StabilizerCode(code.n, tuple(PauliOp.from_vector(rows[s]) for s in live)))
+    return np.array(rows), exchanges, codes
+
+
 def walk_rows(path):
     """The rows path_walk stacks: path.start's generators, then one
     measured operator per step."""
@@ -101,9 +116,9 @@ class TestExchangeWalk:
         codes = [steane7, perfect5, losing_path.intermediates[1], StabilizerCode(1, ())]
         codes += [pauli.random_stabilizer_code(6, k, rng) for k in (1, 2, 3)]
         for code in codes:
-            g = code.generator_matrix
-            errs = analysis.error_vectors(code.n, min(3, code.n))
-            masks = list(analysis.exchange_walk(g, range(len(g)), [], code.logical_basis, errs))
+            g, w = code.generator_matrix, min(3, code.n)
+            errs, letters = analysis.error_vectors(code.n, w), analysis._error_letters(code.n, w)
+            masks = list(analysis.exchange_walk(g, range(len(g)), [], code.logical_basis, letters))
             assert len(masks) == 1
             assert np.array_equal(masks[0], analysis.undetectable(code, errs))
 
@@ -115,18 +130,9 @@ class TestExchangeWalk:
         for trial in range(40):
             n = 5
             code = pauli.random_stabilizer_code(n, 1 + trial % 2, rng)
-            g = code.generator_matrix
-            rows, slots, exchanges, codes = list(g), list(range(len(g))), [], [code]
-            for _ in range(6):
-                slot = int(rng.integers(len(g)))
-                rhs = (np.arange(len(g)) == slot).astype(np.uint8)
-                x0, ker = gf2.solve_affine(gf2.swap_xz(np.array([rows[s] for s in slots])), rhs)
-                exchanges.append((slot, len(rows)))
-                slots[slot] = len(rows)
-                rows.append(((x0 + rng.integers(0, 2, len(ker)) @ ker) % 2).astype(np.uint8))
-                codes.append(StabilizerCode(n, tuple(PauliOp.from_vector(rows[s]) for s in slots)))
-            errs = analysis.error_vectors(n, 3)
-            walk = analysis.exchange_walk(np.array(rows), range(len(g)), exchanges, code.logical_basis, errs)
+            rows, exchanges, codes = random_walk(code, rng.integers(len(code.gens), size=6), rng)
+            errs, letters = analysis.error_vectors(n, 3), analysis._error_letters(n, 3)
+            walk = analysis.exchange_walk(rows, range(len(code.gens)), exchanges, code.logical_basis, letters)
             for mask, c in zip(walk, codes, strict=True):
                 want = analysis.undetectable(c, errs)
                 assert np.array_equal(mask, want)
@@ -136,11 +142,11 @@ class TestExchangeWalk:
     def test_zero_error_rows(self, table_paths, steane7, perfect5):
         # min_distance = 1 screens no error at all: every draw passes
         path = table_paths["table2"]
-        errs = analysis.error_vectors(path.n, 0)
+        letters = analysis._error_letters(path.n, 0)
         rows, g = walk_rows(path), path.start.generator_matrix
         exchanges = [(s.replaced_index, len(g) + j) for j, s in enumerate(path.steps)]
         for stack in (rows, np.stack([rows, rows])):
-            masks = list(analysis.exchange_walk(stack, range(len(g)), exchanges, path.start.logical_basis, errs))
+            masks = list(analysis.exchange_walk(stack, range(len(g)), exchanges, path.start.logical_basis, letters))
             assert [m.shape for m in masks] == [stack.shape[:-2] + (0,)] * len(path.intermediates)
         assert analysis.verify_path(path, 1).ok
         base = rewiring.decompose(*rewiring.pad(steane7, perfect5, 0))
@@ -160,9 +166,9 @@ class TestExchangeWalk:
         g = pair[0].start.generator_matrix
         exchanges = [(s.replaced_index, len(g) + k) for k, s in enumerate(pair[0].steps)]
         assert exchanges == [(s.replaced_index, len(g) + k) for k, s in enumerate(pair[1].steps)]
-        errs = analysis.error_vectors(base.padded_n, 2)
+        errs, letters = analysis.error_vectors(base.padded_n, 2), analysis._error_letters(base.padded_n, 2)
         rows = np.stack([walk_rows(p) for p in pair])
-        masks = list(analysis.exchange_walk(rows, range(len(g)), exchanges, pair[0].start.logical_basis, errs))
+        masks = list(analysis.exchange_walk(rows, range(len(g)), exchanges, pair[0].start.logical_basis, letters))
         assert len(masks) == len(pair[0].intermediates)
         for step, mask in enumerate(masks):
             for draw, path in enumerate(pair):
@@ -301,8 +307,6 @@ class TestErrorTables:
 
     @pytest.mark.parametrize("n, w", [(1, 1), (7, 2), (12, 3), (17, 3), (25, 2)])
     def test_match_loop_enumerator(self, n, w):
-        at_weight = analysis._errors_at_weight(n, w)
-        assert at_weight.dtype == np.uint8 and np.array_equal(at_weight, old_errors_at_weight(n, w))
         vectors = analysis.error_vectors(n, w)
         assert vectors.dtype == np.uint8 and np.array_equal(vectors, old_error_vectors(n, w))
 
@@ -312,6 +316,12 @@ class TestErrorTables:
         assert not analysis._letters(7, 2).flags.writeable
         assert analysis._letters(3, 4).shape == (0, 4)
         assert analysis.error_vectors(5, 0).shape == (0, 10)
+        # lighter errors are padded with the identity, row 3n of the single-qubit table
+        letters = analysis._error_letters(7, 3)
+        assert letters.shape == (21 + 189 + 945, 3) and letters.dtype == np.uint8
+        assert (letters[:21, 1:] == 21).all() and (letters[21:210, 2] == 21).all() and (letters[210:] < 21).all()
+        assert not analysis._single_qubit_paulis(7)[21].any()
+        assert analysis._error_letters(5, 0).shape == (0, 0)
 
 
 def after_bell_pairs(code, pairs):
@@ -395,6 +405,33 @@ class TestSyndromeWordsMatchOracles:
                 exact += rep.exact
         assert analysis.code_distance(wide_codes[0], 2).distance == 2  # [[4,2,2]]'s rows sit past row 64
         assert exact and exact < 2 * len(wide_codes)
+
+    def test_wide_exchange_walk(self, wide_codes):
+        """exchange_walk against undetectable after every exchange of random
+        walks on the wide codes, whose rows and logicals fill more than
+        one word, for one draw and for a stack of two draws that exchange
+        the same slots with different incoming rows.  Each walk exchanges
+        two slots twice, so the outgoing rows of the last two exchanges
+        are incoming rows, past row 64 on the codes with 64+ generators."""
+        rng = np.random.default_rng(28)
+        hits = 0
+        for code in wide_codes:
+            errs, letters = analysis.error_vectors(code.n, 2), analysis._error_letters(code.n, 2)
+            live, slots = range(len(code.gens)), np.tile(rng.choice(len(code.gens), size=2, replace=False), 2)
+            walks = [random_walk(code, slots, rng) for _ in range(3)]
+            exchanges = walks[0][1]
+            assert len(walks[0][0]) + 2 * code.k > 64
+            stacked = np.stack([rows for rows, _, _ in walks[1:]])
+            for rows, draws in ((walks[0][0], walks[:1]), (stacked, walks[1:])):
+                masks = list(analysis.exchange_walk(rows, live, exchanges, code.logical_basis, letters))
+                assert len(masks) == len(slots) + 1
+                for step, mask in enumerate(masks):
+                    mask = mask.reshape(len(draws), len(letters))
+                    for draw, (_, _, codes) in enumerate(draws):
+                        want = analysis.undetectable(codes[step], errs)
+                        assert np.array_equal(mask[draw], want)
+                        hits += int(want.sum())
+        assert hits > 0
 
     def test_wide_step_subsystem_distance(self, wide_codes):
         c422 = wide_codes[0]

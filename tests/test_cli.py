@@ -112,7 +112,7 @@ class TestVerify:
     def test_failing_path(self, losing_path, tmp_path, capsys):
         weak = tmp_path / "weak.json"
         weak.write_text(json.dumps(losing_path.to_json()))
-        assert run("verify", str(weak), "--min-distance", "3") == 1
+        assert run("verify", str(weak), "--min-distance", "3") == cli.EXIT_FAILED
         assert "FAIL" in capsys.readouterr().out
 
     def test_stored_weak_intermediate_is_rejected(self, written_path, tmp_path):

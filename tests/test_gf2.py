@@ -227,21 +227,6 @@ class TestSpanCoefficients:
             gf2.span_coefficients(np.array([[1, 1], [1, 1]], dtype=np.uint8), gf2.zeros(2))
 
 
-class TestCommutingRows:
-    def test_matches_per_row_products(self):
-        rng = np.random.default_rng(21)
-        for rows in (0, 1, 3, 6):
-            ops = rng.integers(0, 2, size=(rows, 8), dtype=np.uint8)
-            errs = rng.integers(0, 2, size=(40, 8), dtype=np.uint8)
-            want = [e for e in errs if all(gf2.symplectic_product(g, e) == 0 for g in ops)]
-            got = gf2.commuting_rows(ops, errs)
-            assert got.shape == (len(want), 8)
-            assert np.array_equal(got, np.array(want, dtype=np.uint8).reshape(-1, 8))
-
-    def test_empty_error_list(self):
-        assert gf2.commuting_rows(gf2.identity(4), gf2.zeros((0, 4))).shape == (0, 4)
-
-
 class TestExtendBasis:
     def test_from_empty(self):
         ext = gf2.extend_basis(gf2.zeros((0, 3)), gf2.identity(3))

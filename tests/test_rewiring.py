@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import old_verify_path
+from conftest import old_error_vectors, old_verify_path
 from stabswitch import analysis, catalog, fixtures, gf2, pauli, rewiring
 from stabswitch.pauli import PauliOp, StabilizerCode
 
@@ -557,20 +557,24 @@ def _first_failure(screen, dec):
 
 def _per_draw_first_failure(screen, dec):
     """The draw screen as it ran before the chunked walk: one draw, one
-    generator list carried step by step."""
+    generator list carried step by step, over the error vectors of the
+    loop enumerator that commute with the shared block (the screen's
+    letters give only the weight cap d - 1)."""
     a = len(dec.shared)
+    errors = old_error_vectors(dec.padded_n, screen.letters.shape[1])
+    errors = errors[~gf2.symplectic_products(dec.shared, errors).any(axis=0)]
     incoming = np.vstack([dec.bridges, dec.bridged_tgt, dec.direct_tgt])
     steps = [(idx, incoming[row]) for idx, row in dec.plan]
     gens = np.vstack([dec.bridged_src, dec.direct_src, *(inc for _, inc in steps)])
-    syn = gf2.symplectic_products(gens, screen.errors)
+    syn = gf2.symplectic_products(gens, errors)
     live = len(gens) - len(steps)
     cur, cur_syn = gens[:live].copy(), syn[:live].copy()
     logicals = screen.logicals.copy()
-    log_syn = gf2.symplectic_products(logicals, screen.errors)
+    log_syn = gf2.symplectic_products(logicals, errors)
     for j in range(len(steps) + 1):
         bad = log_syn.any(axis=0) & ~cur_syn.any(axis=0)
         if bad.any():
-            return j, PauliOp.from_vector(screen.errors[int(np.argmax(bad))])
+            return j, PauliOp.from_vector(errors[int(np.argmax(bad))])
         if j < len(steps):
             idx, inc = steps[j]
             k = idx - a
