@@ -9,12 +9,17 @@ directory; the change side is the working tree.  For each side the
 script records:
 
 - ms per call of each layer (pad+decompose, randomize, solve_bridges,
-  build_path, verify_path, code_distance, step_subsystem_distance,
+  build_path, verify_path, code_distance, code_distance cold (each
+  intermediate copied without its cached logical_basis, as on the fresh
+  ladder paths of path_checks), logical_basis of all the path's
+  intermediates, copied the same way, step_subsystem_distance,
   logical_frame of the path's source, whose logical_basis is cached as
   after verify_path, transport_logicals, ConversionPath.from_json of the
-  path's JSON document, encode+run_path, simulate_trials with SIM_TRIALS
-  trials of each of its two states, inject_and_check) on one fixed
-  seeded steane7 -> rm15 path at m=2 (n=17), of undetectable on that
+  path's JSON document, the path JSON round trip of path_checks
+  (to_json, dumps, loads + from_json, to_json and dumps again),
+  encode+run_path, simulate_trials with SIM_TRIALS trials of each of its
+  two states, inject_and_check) on one fixed seeded steane7 -> rm15
+  path at m=2 (n=17), of undetectable on that
   pair's padded source code against the weight <= d-1 error list and of
   code_distance with cap 4 on that code (its logical_basis warm), ms
   per retry of `search` on steane7 -> (34)-steane7 at m=1, which has
@@ -40,6 +45,7 @@ Results are merged into --out: a later call replaces only the sections
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import platform
@@ -133,6 +139,15 @@ def time_layers() -> dict:
         t = tableau.encode(path.source, frame, "+Z")
         tableau.run_path(t, path, np.random.default_rng(0))
 
+    def cold(code):  # a copy of code whose logical_basis is not cached yet
+        fresh = copy.copy(code)
+        vars(fresh).pop("logical_basis", None)
+        return fresh
+
+    def json_round_trip():  # what one path_checks op does with the path file
+        text = json.dumps(path.to_json(), indent=2) + "\n"
+        json.dumps(rewiring.ConversionPath.from_json(json.loads(text)).to_json(), indent=2)
+
     layers = {
         "pad+decompose": (decompose, 1),
         "randomize": (lambda: rewiring.randomize(base, [rng()]).draw(0), 1),
@@ -140,6 +155,8 @@ def time_layers() -> dict:
         "build_path": (lambda: rewiring.build_path(dec), 1),
         "verify_path": (lambda: analysis.verify_path(path, d), 1),
         "code_distance": (lambda: [analysis.code_distance(c, d) for c in codes], len(codes)),
+        "code_distance cold": (lambda: [analysis.code_distance(cold(c), d) for c in codes], len(codes)),
+        f"logical_basis of {len(codes)} fresh codes": (lambda: [cold(c).logical_basis for c in codes], 1),
         "step_subsystem_distance": (
             lambda: [analysis.step_subsystem_distance(codes[i], s) for i, s in enumerate(steps)],
             len(steps),
@@ -147,6 +164,7 @@ def time_layers() -> dict:
         "logical_frame": (lambda: tableau.logical_frame(path.source), 1),
         "transport_logicals": (lambda: tableau.transport_logicals(frame, path), 1),
         "from_json": (lambda: rewiring.ConversionPath.from_json(doc), 1),
+        "path JSON round trip": (json_round_trip, 1),
         "encode+run_path": (encode_run, 1),
         "simulate_trials": (lambda: list(tableau.simulate_trials(path, SIM_TRIALS, LAYER_SEED)), 1),
         "inject_and_check": (lambda: tableau.inject_and_check(path, d - 1), 1),

@@ -53,6 +53,7 @@ class InfeasibleError(ValueError):
 
 
 _ENUMERATION_LOG2_BUDGET = 20  # masking_enumerate's cap on log2 of its 2^(n^2) matrices
+_BLOCK = 2048  # errors per block of _quiet_syndromes: the distance checks stop at the first block with a witness
 
 
 @lru_cache(maxsize=None)
@@ -77,10 +78,37 @@ def _letters(n: int, w: int) -> np.ndarray:
     return out
 
 
+def _padded(tables: Sequence[np.ndarray], identity: int, dtype) -> np.ndarray:
+    """Letter tables stacked in order into one preallocated array, the
+    lighter ones padded by the identity letter."""
+    out = np.full((sum(map(len, tables)), max((t.shape[1] for t in tables), default=0)), identity, dtype, order="F")
+    row = 0
+    for table in tables:
+        out[row : row + len(table), : table.shape[1]] = table
+        row += len(table)
+    return out
+
+
 def _error_letters(n: int, wmax: int) -> np.ndarray:
     """The errors of weight 1..wmax, weight-ascending, as _letters padded to wmax letters by the identity 3n."""
-    padded = [np.pad(_letters(n, w), ((0, 0), (0, wmax - w)), constant_values=3 * n) for w in range(1, wmax + 1)]
-    return np.vstack([np.zeros((0, wmax), dtype=np.min_scalar_type(3 * n)), *padded])
+    return _padded([_letters(n, w) for w in range(1, wmax + 1)], 3 * n, np.min_scalar_type(3 * n))
+
+
+def _letter_blocks(n: int, wmax: int) -> Iterator[np.ndarray]:
+    """The errors of _error_letters(n, wmax) in order, _BLOCK at a time, as
+    intp letters (take casts narrower indices on every call); each weight's
+    table is built when the enumeration reaches it."""
+    pieces, size = [], 0
+    for w in range(1, wmax + 1):
+        table, start = _letters(n, w), 0
+        while start < len(table):
+            pieces.append(table[start : start + _BLOCK - size])
+            size, start = size + len(pieces[-1]), start + len(pieces[-1])
+            if size == _BLOCK:
+                yield _padded(pieces, 3 * n, np.intp)
+                pieces, size = [], 0
+    if pieces:
+        yield _padded(pieces, 3 * n, np.intp)
 
 
 def _xor_rows(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
@@ -105,18 +133,19 @@ def _words(bits: np.ndarray) -> np.ndarray:
 
 def _letter_words(rows: np.ndarray) -> np.ndarray:
     """The (..., 3n + 1, ceil(R / 64)) syndrome words of _single_qubit_paulis against rows (..., R, 2n)."""
-    return _words(gf2.matmul(_single_qubit_paulis(rows.shape[-1] // 2), gf2.swap_xz(rows).swapaxes(-1, -2)))
+    return _words(gf2.symplectic_products(_single_qubit_paulis(rows.shape[-1] // 2), rows))
 
 
 def _quiet_syndromes(blocks: Sequence[np.ndarray], n: int, wmax: int) -> Iterator[tuple[np.ndarray, list]]:
-    """For w = 1..wmax, the letters of the weight-w errors commuting with
+    """The errors of weight 1..wmax in enumeration order, a _letter_blocks
+    block at a time: per block, the letters of its errors commuting with
     blocks[0] and, per later block of rows, the mask of those errors
-    anticommuting with a row of it."""
+    anticommuting with a row of it.  A caller that stops at the first
+    block holding a witness lists no error past that block."""
     owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
     masks = _words(owner == np.arange(len(blocks))[:, None])
     words = _letter_words(np.vstack(blocks))
-    for w in range(1, wmax + 1):
-        letters = _letters(n, w)
+    for letters in _letter_blocks(n, wmax):
         syn = _xor_rows(words, letters)
         quiet = np.flatnonzero(~(syn & masks[0]).any(axis=1))
         syn = syn.take(quiet, axis=0)
@@ -165,11 +194,11 @@ def code_distance(code: StabilizerCode, cap: int) -> DistanceReport:
         raise ValueError("cap must be >= 1")
     wmax = min(cap, code.n)
     blocks = [code.generator_matrix, code.logical_basis]
-    for w, (letters, (logicals,)) in enumerate(_quiet_syndromes(blocks, code.n, wmax), 1):
+    for letters, (logicals,) in _quiet_syndromes(blocks, code.n, wmax):
         hits = np.flatnonzero(logicals)
         if hits.size:
-            witness = _xor_rows(_single_qubit_paulis(code.n), letters[hits[:1]])[0]
-            return DistanceReport(w, True, PauliOp.from_vector(witness))
+            witness = PauliOp.from_vector(_xor_rows(_single_qubit_paulis(code.n), letters[hits[:1]])[0])
+            return DistanceReport(witness.weight, True, witness)
     return DistanceReport(wmax + 1, False, None)
 
 
@@ -311,9 +340,10 @@ def step_subsystem_distance(pre_code: StabilizerCode, step) -> int:
     carried = logicals ^ np.outer(gf2.symplectic_products(logicals, in_), out)
     bound = PauliOp.from_vector(out ^ in_).weight
     blocks = [rest, out[None], in_[None], carried]
-    for w, (_, (o, i, c)) in enumerate(_quiet_syndromes(blocks, pre_code.n, bound - 1), 1):
-        if (c | (o & i)).any():
-            return w
+    for letters, (o, i, c) in _quiet_syndromes(blocks, pre_code.n, bound - 1):
+        hits = np.flatnonzero(c | (o & i))
+        if hits.size:
+            return int((letters[hits[0]] < 3 * pre_code.n).sum())
     return bound
 
 

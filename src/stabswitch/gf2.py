@@ -85,13 +85,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def symplectic_products(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise symplectic products: out[i, j] = <rows_i, cols_j>,
-    by one exact `matmul` (2n < 2^24 terms per entry)."""
+    """Matrix of pairwise symplectic products: out[..., i, j] = <rows_i, cols_j>,
+    by one exact `matmul` (2n < 2^24 terms per entry); leading axes of
+    stacked rows or columns broadcast."""
     rows = np.atleast_2d(asbits(rows))
     cols = np.atleast_2d(asbits(cols))
-    if rows.shape[1] != cols.shape[1]:
+    if rows.shape[-1] != cols.shape[-1]:
         raise ValueError("column counts differ")
-    return matmul(swap_xz(rows), cols.T)
+    return matmul(swap_xz(rows), cols.swapaxes(-1, -2))
 
 
 def _pack(m: np.ndarray) -> tuple[list[int], int]:
@@ -124,6 +125,31 @@ def _eliminate(rows: list[int], width: int) -> Iterator[int]:
         rows[:] = [x ^ pivot if x & bit else x for x in rows]
         rows[r] = pivot
         yield width - top.bit_length()
+
+
+def _insert(lead: dict[int, int], x: int) -> int:
+    """Reduce the packed row x by the rows of an echelon form, keyed by the
+    bit length of their leading bit, until its leading bit is new to it,
+    and add what is left (zero if x is in their span) to it."""
+    while x and x.bit_length() in lead:
+        x ^= lead[x.bit_length()]
+    if x:
+        lead[x.bit_length()] = x
+    return x
+
+
+def greedy_rows(m: np.ndarray, rank: int) -> list[int]:
+    """Indices of the rows of m independent of the rows before them, given
+    m's rank: one insertion pass over the packed rows into an echelon
+    form, which stops once `rank` rows are kept."""
+    lead: dict[int, int] = {}
+    kept: list[int] = []
+    for i, x in enumerate(_pack(np.atleast_2d(asbits(m)))[0]):
+        if len(kept) == rank:
+            break
+        if _insert(lead, x):
+            kept.append(i)
+    return kept
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -217,19 +243,32 @@ def span_coefficients(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     lie in its span.
 
     Returns (coeffs, inside) with coeffs[i] @ basis == rows[i] wherever
-    inside[i]; coeffs of a row outside the span mean nothing.  One
-    elimination however many rows: rref([basis | I]) puts basis[:, P]^-1
-    in the right block, P being the pivot columns of basis, and a member
-    v = c basis has c = v[P] basis[:, P]^-1.
+    inside[i]; coeffs of a row outside the span mean nothing.  The packed
+    rows of [basis | I] go into one echelon form (_insert), and a packed
+    row v is reduced by its rows from the highest leading bit down, which
+    clears v on the pivot columns P of basis: the right block then holds
+    c with c basis[:, P] = v[P], that is v[P] basis[:, P]^-1, and the
+    left block is zero iff v is a member.
     """
     basis = np.atleast_2d(asbits(basis))
     rows = np.atleast_2d(asbits(rows))
     k, cols = basis.shape
-    reduced, pivots = rref(np.hstack([basis, identity(k)]))
-    if pivots and pivots[-1] >= cols:
+    packed, width = _pack(np.hstack([basis, identity(k)]))
+    lead: dict[int, int] = {}
+    if any(_insert(lead, x).bit_length() <= width - cols for x in packed):
         raise NotIndependentError("basis rows are dependent")
-    coeffs = matmul(rows[:, pivots], reduced[:, cols:])
-    return coeffs, (matmul(coeffs, basis) == rows).all(axis=1)
+    reducers = [(1 << length - 1, row) for length, row in sorted(lead.items(), reverse=True)]
+    queries, qwidth = _pack(rows)
+    reduced = []
+    for v in queries:
+        v <<= width - qwidth
+        for bit, row in reducers:
+            if v & bit:
+                v ^= row
+        reduced.append(v)
+    tag, align = width - cols - k, -k % 8  # bits below the right block; shift putting its first column on a byte's top bit
+    coeffs = _unpack([(v >> tag & (1 << k) - 1) << align for v in reduced], k)
+    return coeffs, np.array([not v >> width - cols for v in reduced], dtype=bool)
 
 
 def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:

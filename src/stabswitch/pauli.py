@@ -27,9 +27,9 @@ signed Paulis on n qubits; k = n - (number of generators).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,54 +65,62 @@ _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _XZ_LETTER = {v: k for k, v in _LETTER_XZ.items()}
 
 
+# power of i of one qubit's letter product, at x1 + 2 z1 + 4 x2 + 8 z2: XZ = -iY, ZX = iY, YX = -iZ, ...
+_PHASE = np.array([0, 0, 0, 0, 0, 0, 1, 3, 0, 3, 0, 1, 0, 1, 3, 0], dtype=np.int8)
+
+
 def phase_exponent(x1, z1, x2, z2):
     """Power of i (mod 4) picked up when multiplying the unsigned Paulis
-    (x1|z1) * (x2|z2) written with Hermitian letters.  Sums over the last
-    (qubit) axis and broadcasts over the leading ones."""
-    x1, z1, x2, z2 = (np.asarray(a, dtype=np.int8) for a in (x1, z1, x2, z2))
-    # per-qubit exponent: 0 for I; Y gives z2-x2; X gives z2(2x2-1); Z gives x2(1-2z2)
-    g = (
-        x1 * z1 * (z2 - x2)
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-        + z1 * (1 - x1) * x2 * (1 - 2 * z2)
-    )
-    return g.sum(axis=-1, dtype=np.int64) % 4
+    (x1|z1) * (x2|z2) written with Hermitian letters, one _PHASE lookup
+    per qubit.  Sums over the last (qubit) axis and broadcasts over the
+    leading ones."""
+    x1, z1, x2, z2 = (np.asarray(a, dtype=np.uint8) for a in (x1, z1, x2, z2))
+    return _PHASE[x1 | z1 << 1 | x2 << 2 | z2 << 3].sum(axis=-1, dtype=np.int64) % 4
 
 
 def signed_products(x, z, r, selection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ordered products of signed rows, all at once: product i multiplies,
     left to right, the rows (x[j]|z[j]) with sign (-1)^r[j] that
-    selection[i] marks.  A prefix XOR along the factor axis gives each
-    factor the product before it, then one phase sum follows.  Returns
-    each product's x and z parts and its power of i (mod 4): 0 or 2 when
-    Hermitian, odd when the selected rows do not commute."""
-    sel = np.asarray(selection, dtype=bool)[..., None]
-    fx, fz = sel * np.asarray(x, dtype=np.uint8), sel * np.asarray(z, dtype=np.uint8)
-    px, pz = np.bitwise_xor.accumulate(fx, axis=-2), np.bitwise_xor.accumulate(fz, axis=-2)
-    phase = phase_exponent(px ^ fx, pz ^ fz, fx, fz).sum(axis=-1)
-    power = (phase + 2 * (sel[..., 0] & np.asarray(r, dtype=bool)).sum(axis=-1)) % 4
-    return np.bitwise_xor.reduce(fx, axis=-2), np.bitwise_xor.reduce(fz, axis=-2), power
+    selection[i] marks.  Returns each product's x and z parts and its
+    power of i (mod 4): 0 or 2 when Hermitian, odd when the selected rows
+    do not commute.
+
+    The power is read in closed form: a row is i^(x.z) X^x Z^z, and
+    moving every X factor left of every Z factor of a later row costs
+    (-1)^(z_j.x_l) per pair j < l.  So the power is the selected rows' Y
+    count, plus 2 per selected pair j < l with z_j.x_l odd, plus 2 per
+    selected sign bit, less the product's own Y count."""
+    sel = np.asarray(selection, dtype=np.int64)
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    px, pz = (sel @ x & 1).astype(np.uint8), (sel @ z & 1).astype(np.uint8)
+    later = np.triu(z @ x.T & 1, 1)  # later[j, l] = z_j.x_l mod 2 for j < l
+    pairs = ((sel @ later) * sel).sum(axis=-1)
+    power = sel @ ((x & z).sum(axis=-1) + 2 * np.asarray(r, dtype=np.int64)) + 2 * pairs - (px & pz).sum(axis=-1)
+    return px, pz, power % 4
 
 
 @dataclass(frozen=True)
 class PauliOp:
-    """A signed Hermitian Pauli operator on n qubits."""
+    """A signed Hermitian Pauli operator on n qubits.  Its read-only
+    vector (x | z) is built once, on construction, and x and z are views
+    of it."""
 
     x: np.ndarray
     z: np.ndarray
     sign: int = +1
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = gf2.asbits(self.x)
-        z = gf2.asbits(self.z)
+        x, z = np.asarray(self.x, dtype=np.uint8), np.asarray(self.z, dtype=np.uint8)
         if x.shape != z.shape or x.ndim != 1:
             raise ValueError("x and z parts must be equal-length vectors")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        x.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        v = np.concatenate([x, z]) & 1
+        v.setflags(write=False)
+        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "x", v[: len(x)])
+        object.__setattr__(self, "z", v[len(x) :])
 
     @classmethod
     def identity(cls, n: int) -> "PauliOp":
@@ -148,10 +156,6 @@ class PauliOp:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.z])
 
     @property
     def weight(self) -> int:
@@ -270,9 +274,13 @@ class StabilizerCode:
     def logical_basis(self) -> np.ndarray:
         """Rows completing the generators to a basis of their normalizer: an
         error commuting with the generators is outside the group iff it
-        anticommutes with one of these logical operators."""
+        anticommutes with one of these logical operators.  The greedy pick
+        of gf2.extend_basis(g, kernel), by one insertion pass over
+        [g; kernel]: the generators are independent and lie in the kernel,
+        so that call's checks cannot fail here."""
         g = self.generator_matrix
-        m = gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g)))
+        stack = np.vstack([g, gf2.kernel(gf2.swap_xz(g))])
+        m = stack[gf2.greedy_rows(stack, self.n + self.k)[len(g) :]]
         m.setflags(write=False)
         return m
 
@@ -285,10 +293,29 @@ class StabilizerCode:
         return hash((self.n, self.gens))
 
     def same_group(self, other: "StabilizerCode") -> bool:
-        """True iff both codes generate the same signed stabilizer group."""
+        """True iff both codes generate the same signed stabilizer group:
+        every generator of other is in this group with its own sign."""
         if self.n != other.n or len(self.gens) != len(other.gens):
             return False
-        return group_elements(self, other.generator_matrix) == list(other.gens)
+        power, inside = span_signs(self.generator_matrix, _sign_bits(self.gens), other.generator_matrix)
+        return bool(inside.all() and (power == 2 * _sign_bits(other.gens)).all())
+
+    def _exchanged(self, idx: int, op: PauliOp) -> "StabilizerCode":
+        """This code with generator idx replaced by op, where op anticommutes
+        with that generator and commutes with all the others; the caller
+        checks both.  Nothing is re-validated, since nothing can fail: op
+        commutes with the other generators, so the new set commutes; and
+        every element of their span commutes with the outgoing generator
+        while op anticommutes with it, so op lies outside that span and the
+        new set is independent."""
+        code = object.__new__(StabilizerCode)
+        object.__setattr__(code, "n", self.n)
+        object.__setattr__(code, "gens", self.gens[:idx] + (op,) + self.gens[idx + 1 :])
+        m = self.generator_matrix.copy()
+        m[idx] = op.vector
+        m.setflags(write=False)
+        code.__dict__["generator_matrix"] = m
+        return code
 
     def __repr__(self):
         return f"StabilizerCode[[{self.n},{self.k}]]({[str(g) for g in self.gens]})"
@@ -318,11 +345,16 @@ def span_signs(rows, sign_bits, vectors) -> tuple[np.ndarray, np.ndarray]:
     return signed_products(rows[:, :n], rows[:, n:], sign_bits, coeffs)[2], inside
 
 
+def _sign_bits(ops: Sequence[PauliOp]) -> np.ndarray:
+    """1 for each negative sign, 0 for each positive one."""
+    return np.array([p.sign < 0 for p in ops], dtype=np.uint8)
+
+
 def group_elements(code: StabilizerCode, rows: np.ndarray) -> list[PauliOp | None]:
     """The signed group element whose vector is each row of rows (None for
     rows outside the group): a group never holds -1, so the vector fixes
     the sign."""
-    power, inside = span_signs(code.generator_matrix, [p.sign < 0 for p in code.gens], rows)
+    power, inside = span_signs(code.generator_matrix, _sign_bits(code.gens), rows)
     vectors = np.atleast_2d(rows)
     x, z = vectors[:, : code.n], vectors[:, code.n :]
     return [PauliOp(xi, zi, 1 - int(p)) if ok else None for xi, zi, p, ok in zip(x, z, power, inside)]

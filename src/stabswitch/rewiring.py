@@ -165,6 +165,10 @@ class ConversionPath:
         return self.source.n
 
     def to_json(self) -> dict:
+        """The path document; a step's correction is the generator string
+        its slot held before it, and each intermediate is written by
+        exchange (see _intermediates_json)."""
+        inter = self._intermediates_json()
         return {
             "n": self.n,
             "ancilla_qubits": list(self.ancilla_qubits),
@@ -172,16 +176,28 @@ class ConversionPath:
             "target": pauli.code_to_json(self.target),
             "steps": [
                 {
-                    "measure": s.measure.to_string(),
-                    "correct": s.correct.to_string(),
+                    "measure": after["generators"][s.replaced_index],
+                    "correct": before["generators"][s.replaced_index],
                     "replaced_index": s.replaced_index,
                 }
-                for s in self.steps
+                for s, before, after in zip(self.steps, inter, inter[1:])
             ],
-            "intermediates": [pauli.code_to_json(c) for c in self.intermediates],
+            "intermediates": inter,
             "seed": self.seed,
             "m": self.m,
         }
+
+    def _intermediates_json(self) -> list[dict]:
+        """pauli.code_to_json of each intermediate, by exchange: the start's
+        generator strings, then each step's measure string in its slot, so
+        r + L strings are formatted, not one per generator per code."""
+        gens = [g.to_string() for g in self.start.gens]
+        lists = [gens]
+        for step in self.steps:
+            gens = list(gens)
+            gens[step.replaced_index] = step.measure.to_string()
+            lists.append(gens)
+        return [{"n": self.n, "k": self.start.k, "generators": gens} for gens in lists]
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConversionPath":
@@ -241,7 +257,7 @@ class ConversionPath:
             )
         except AdjacencyViolationError as exc:
             raise PathIntegrityError(str(exc)) from None
-        if [pauli.code_to_json(c) for c in path.intermediates] != doc["intermediates"]:
+        if path._intermediates_json() != doc["intermediates"]:
             raise PathIntegrityError("stored intermediates differ from the codes the steps produce")
         return path
 
@@ -482,29 +498,38 @@ def _walk_steps(
     source: StabilizerCode,
     target: StabilizerCode,
 ) -> tuple[StabilizerCode, ...]:
-    """start followed by the code after each step.
+    """start followed by the code after each step, each one exchange from
+    the last (StabilizerCode._exchanged).
 
     Raises AdjacencyViolationError unless start presents source's signed
     group, every step corrects with the generator it replaces and
     measures an operator anticommuting with that generator alone, and the
-    last code presents target's signed group.
+    last code presents target's signed group.  Each step's syndrome is
+    read off one product of the measured rows with [start rows;
+    measured rows], slot i of a code holding the row that last entered
+    it, as analysis._walk_masks tracks them.
     """
     if not start.same_group(source):
         raise AdjacencyViolationError("the first code does not present the source group")
-    codes = [start]
-    for step in steps:
+    # a measure of the wrong length fails at its own step, after the checks of the steps before it
+    sized = next((j for j, step in enumerate(steps) if step.measure.n != start.n), len(steps))
+    measured = np.array([step.measure.vector for step in steps[:sized]], dtype=np.uint8).reshape(sized, 2 * start.n)
+    products = gf2.symplectic_products(measured, np.vstack([start.generator_matrix, measured]))
+    codes, slots = [start], list(range(len(start.gens)))
+    for j, step in enumerate(steps):
         code, idx = codes[-1], step.replaced_index
         if not 0 <= idx < len(code.gens) or code.gens[idx] != step.correct:
             raise AdjacencyViolationError(f"step correction {step.correct} is not generator {idx} of its code")
-        syn = pauli.syndrome(code, step.measure)
+        if j == sized:
+            raise ValueError(f"operator acts on {step.measure.n} qubits, code on {code.n}")
+        syn = products[j, slots]
         if not syn[idx]:
             raise AdjacencyViolationError(f"{step.measure} commutes with the generator it replaces")
         if syn.sum() != 1:
-            other = code.gens[next(j for j in np.nonzero(syn)[0] if j != idx)]
+            other = code.gens[next(i for i in np.nonzero(syn)[0] if i != idx)]
             raise AdjacencyViolationError(f"{step.measure} anticommutes with untouched generator {other}")
-        gens = list(code.gens)
-        gens[idx] = step.measure
-        codes.append(StabilizerCode(code.n, tuple(gens)))
+        slots[idx] = len(start.gens) + j
+        codes.append(code._exchanged(idx, step.measure))
     if not codes[-1].same_group(target):
         raise AdjacencyViolationError("final code does not match the padded target group")
     return tuple(codes)

@@ -122,11 +122,13 @@ class Tableau:
                 raise ValueError("random measurement needs an rng (or forced outcome)")
             outcome = +1 if int(rng.integers(0, 2)) == 0 else -1
         piv, rows = anti[0], anti[1:]
-        pivot_first = np.hstack([np.ones((rows.size, 1), dtype=bool), np.eye(rows.size, dtype=bool)])
-        x, z, power = pauli.signed_products(self.x[anti], self.z[anti], self.r[anti], pivot_first)
+        power = pauli.phase_exponent(self.x[piv], self.z[piv], self.x[rows], self.z[rows])
+        power = (power + 2 * (self.r[piv] + self.r[rows])) % 4
         if (power % 2).any():
             raise StabilizationFailureError(f"rowsum between anticommuting rows {rows[power % 2 == 1]} and {piv}")
-        self.x[rows], self.z[rows], self.r[rows] = x, z, power // 2
+        self.x[rows] ^= self.x[piv]
+        self.z[rows] ^= self.z[piv]
+        self.r[rows] = power // 2
         self.x[piv], self.z[piv], self.r[piv] = p.x, p.z, 0 if outcome > 0 else 1
         return outcome
 
@@ -227,14 +229,17 @@ def encode(code: StabilizerCode, frame: LogicalFrame, state_spec) -> Tableau:
     selected signed logical operators.
     """
     entries = _parse_state_spec(state_spec, code.k)
-    stabs = list(code.gens)
-    for (axis, sign), lx, lz in zip(entries, frame.logical_x, frame.logical_z):
-        base = lx if axis == "X" else lz
-        stabs.append(PauliOp(base.x, base.z, base.sign * sign))
     try:
-        return Tableau.from_stabilizers(stabs)
-    except (pauli.AnticommutingGeneratorsError, pauli.DependentGeneratorsError) as exc:
+        frame.validate(code)
+    except ValueError as exc:
         raise InconsistentSpecError(str(exc)) from None
+    pairs = zip(entries, frame.logical_x, frame.logical_z)
+    picked = [(lx if axis == "X" else lz, sign) for (axis, sign), lx, lz in pairs]
+    # the generators and one operator of each frame pair commute and are
+    # independent: an operator's partner anticommutes with it alone
+    g = np.vstack([code.generator_matrix, *(op.vector for op, _ in picked)])
+    r = np.array([p.sign < 0 for p in code.gens] + [op.sign * sign < 0 for op, sign in picked], dtype=np.uint8)
+    return Tableau(code.n, g[:, : code.n].copy(), g[:, code.n :].copy(), r)
 
 
 def run_step(
@@ -330,16 +335,29 @@ def transport_logicals(frame: LogicalFrame, path) -> LogicalFrame:
     A representative anticommuting with a step's measured generator is
     multiplied by that step's outgoing generator, which restores
     commutation with the new code while acting identically on the
-    encoded state.
+    encoded state.  Products are linear, so which steps multiply which of
+    the 2k representatives follows from one product of them and of the
+    outgoing generators with [measured; outgoing] rows, and the carried
+    operators are one pauli.signed_products call.
     """
-
-    def carry(op: PauliOp) -> PauliOp:
-        for step in path.steps:
-            if gf2.symplectic_product(op.vector, step.measure.vector) == 1:
-                op = op * step.correct
-        return op
-
-    out = LogicalFrame(tuple(map(carry, frame.logical_x)), tuple(map(carry, frame.logical_z)))
+    ops, steps, n = frame.logical_x + frame.logical_z, path.steps, path.target.n
+    rows = np.array([op.vector for op in ops], dtype=np.uint8).reshape(len(ops), 2 * n)
+    outgoing = np.array([s.correct.vector for s in steps], dtype=np.uint8).reshape(len(steps), 2 * n)
+    cols = np.vstack([*(s.measure.vector for s in steps), outgoing])
+    # seen[i, j]: the product of representative i as it reaches step j with that step's measure (j < L) or correction
+    seen, moves = gf2.symplectic_products(rows, cols), gf2.symplectic_products(outgoing, cols)
+    hits = np.zeros((len(ops), len(steps)), dtype=np.uint8)
+    for j, move in enumerate(moves):
+        hits[:, j] = seen[:, j]
+        if (hits[:, j] & seen[:, len(steps) + j]).any():
+            raise pauli.NonHermitianProductError("operands anticommute; the product is not Hermitian")
+        seen ^= np.outer(hits[:, j], move)
+    signs = np.array([op.sign < 0 for op in ops] + [s.correct.sign < 0 for s in steps], dtype=np.uint8)
+    factors = np.vstack([rows, outgoing])
+    x, z, power = pauli.signed_products(factors[:, :n], factors[:, n:], signs, np.hstack([np.eye(len(ops)), hits]))
+    carried = [PauliOp(xi, zi, 1 - int(p)) for xi, zi, p in zip(x, z, power)]
+    k = len(frame.logical_x)
+    out = LogicalFrame(tuple(carried[:k]), tuple(carried[k:]))
     try:
         out.validate(path.target)
     except ValueError as exc:

@@ -302,6 +302,32 @@ class TestSyndromeTestMatchesOraclesOnRandomCodes:
         assert steps >= 300
 
 
+    @pytest.mark.parametrize("block", [1, 10**9])
+    def test_block_size_changes_no_result(self, codes, block, monkeypatch):
+        """The distance checks stop at the first block of errors holding a
+        witness; one error per block, or every error in one block, gives
+        the same distances and witnesses."""
+        rng = np.random.default_rng(12)
+        cases = []
+        for code in codes:
+            cap = int(rng.integers(1, code.n + 1))
+            step = random_step(code, rng) if code.gens else None
+            cases.append((code, cap, step))
+
+        def results():
+            return [
+                (
+                    analysis.code_distance(code, cap) if code.k else None,
+                    analysis.step_subsystem_distance(code, step) if step else None,
+                )
+                for code, cap, step in cases
+            ]
+
+        want = results()
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        assert results() == want
+
+
 class TestErrorTables:
     """The letter tables list the errors of the loop enumerator, in its order."""
 

@@ -145,6 +145,53 @@ class TestVerify:
         assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
 
 
+def _set(*keys, value):
+    def edit(doc):
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+        return None
+
+    return edit
+
+
+MALFORMED_PATH_FILES = {
+    "missing steps": lambda doc: doc.pop("steps") and None,
+    "steps as a dict": _set("steps", value={"measure": "XXXXXXX"}),
+    "steps as a list of lists": lambda doc: doc.update(steps=[list(s.values()) for s in doc["steps"]]),
+    "int measure": _set("steps", 0, "measure", value=7),
+    "short measure": _set("steps", 0, "measure", value="XZ"),
+    "bad letter": _set("steps", 0, "measure", value="XXQXXXX"),
+    "generators as a string": _set("source", "generators", value="XZZXI"),
+    "generators as an int": _set("target", "generators", value=5),
+    "empty intermediates": _set("intermediates", value=[]),
+    "intermediate as a string": _set("intermediates", 1, value="XZZXI"),
+    "replaced_index -1": _set("steps", 0, "replaced_index", value=-1),
+    "null ancilla_qubits": _set("ancilla_qubits", value=None),
+    "top-level list": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PATH_FILES))
+def test_malformed_path_file_exits_65_with_one_line(case, written_path, tmp_path, capsys):
+    """Each malformed document fails to load with the data-error exit and
+    one "malformed path file" line, however far the loader gets."""
+    doc = json.loads(written_path.read_text())
+    edited = MALFORMED_PATH_FILES[case](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc if edited is None else edited))
+    capsys.readouterr()
+    assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"malformed path file {bad}: ")
+    assert "Traceback" not in captured.err
+    if case == "short measure":
+        assert lines[0].endswith("operator acts on 2 qubits, code on 7")
+
+
 class TestSimulate:
     def test_bad_metadata_is_data_error(self, written_path, tmp_path, capsys):
         # each of these once crashed simulate with a traceback or loaded silently

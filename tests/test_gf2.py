@@ -78,6 +78,33 @@ class TestExactKernel:
         assert past_255 > 50
 
 
+class TestStackedSymplecticProducts:
+    def test_stacks_match_per_slice_products(self):
+        """Stacked rows, stacked columns or both: each slice's products are
+        the 2-D call's."""
+        rng = np.random.default_rng(30)
+        for n in (1, 2, 5, 40):
+            rows = rng.integers(0, 2, (2, 3, 2 * n), dtype=np.uint8)
+            cols = rng.integers(0, 2, (5, 2 * n), dtype=np.uint8)
+            got = gf2.symplectic_products(rows, cols)
+            assert got.shape == (2, 3, 5)
+            for i in range(2):
+                assert np.array_equal(got[i], gf2.symplectic_products(rows[i], cols))
+            stacked = rng.integers(0, 2, (2, 4, 2 * n), dtype=np.uint8)
+            got = gf2.symplectic_products(rows, stacked)
+            assert got.shape == (2, 3, 4)
+            for i in range(2):
+                assert np.array_equal(got[i], gf2.symplectic_products(rows[i], stacked[i]))
+            got = gf2.symplectic_products(cols, stacked)
+            assert got.shape == (2, 5, 4)
+            for i in range(2):
+                assert np.array_equal(got[i], old_symplectic_products(cols, stacked[i]))
+
+    def test_column_mismatch_still_raises(self):
+        with pytest.raises(ValueError, match="column counts differ"):
+            gf2.symplectic_products(gf2.zeros((2, 3, 4)), gf2.zeros((5, 6)))
+
+
 class TestRank:
     def test_identity(self):
         assert gf2.rank(gf2.identity(3)) == 3

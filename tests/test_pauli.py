@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import dense_matrix, in_rowspace
-from stabswitch import analysis, gf2, pauli
+from stabswitch import analysis, gf2, pauli, rewiring
 from stabswitch.pauli import PauliOp, StabilizerCode
 
 
@@ -160,6 +161,65 @@ class TestSignedProducts:
                 p, q = PauliOp(a[i, j, 0], a[i, j, 1]), PauliOp(b[i, j, 0], b[i, j, 1])
                 prod = PauliOp(p.x ^ q.x, p.z ^ q.z)
                 assert np.allclose(dense_matrix(p) @ dense_matrix(q), 1j ** int(got[i, j]) * dense_matrix(prod))
+
+
+def old_phase_exponent(x1, z1, x2, z2):
+    """The per-qubit arithmetic the 16-entry table replaced."""
+    x1, z1, x2, z2 = (np.asarray(a, dtype=np.int8) for a in (x1, z1, x2, z2))
+    g = x1 * z1 * (z2 - x2) + x1 * (1 - z1) * z2 * (2 * x2 - 1) + z1 * (1 - x1) * x2 * (1 - 2 * z2)
+    return g.sum(axis=-1, dtype=np.int64) % 4
+
+
+class TestPhaseTable:
+    def test_all_letter_pairs(self):
+        """Every one of the 16 single-qubit letter pairs, against the old
+        arithmetic and the dense product."""
+        for x1, z1, x2, z2 in itertools.product((0, 1), repeat=4):
+            got = pauli.phase_exponent([x1], [z1], [x2], [z2])
+            assert got == old_phase_exponent([x1], [z1], [x2], [z2])
+            p, q = PauliOp([x1], [z1]), PauliOp([x2], [z2])
+            prod = PauliOp(p.x ^ q.x, p.z ^ q.z)
+            assert np.allclose(dense_matrix(p) @ dense_matrix(q), 1j ** int(got) * dense_matrix(prod))
+
+    def test_broadcast_shapes_match_old_arithmetic(self):
+        rng = np.random.default_rng(1210)
+        shapes = [((6,), (6,)), ((3, 6), (6,)), ((6,), (4, 6)), ((2, 1, 6), (5, 6)), ((0, 6), (6,)), ((3, 0), (0,))]
+        for left, right in shapes:
+            for dtype in (np.uint8, bool, np.int64):
+                a = rng.integers(0, 2, (2, *left)).astype(dtype)
+                b = rng.integers(0, 2, (2, *right)).astype(dtype)
+                got = pauli.phase_exponent(a[0], a[1], b[0], b[1])
+                want = old_phase_exponent(a[0], a[1], b[0], b[1])
+                assert got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def old_logical_basis(code):
+    """The two eliminations logical_basis ran before its insertion pass."""
+    g = code.generator_matrix
+    return gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g)))
+
+
+class TestLogicalBasisMatchesExtendBasis:
+    def test_random_codes(self):
+        rng = np.random.default_rng(1211)
+        seen = set()
+        for trial in range(3000):
+            n = 1 + trial % 14
+            code = pauli.random_stabilizer_code(n, int(rng.integers(0, n + 1)), rng)
+            got, want = code.logical_basis, old_logical_basis(code)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            seen.add((n, code.k))
+        assert {k for n, k in seen if n == 14} == set(range(15))
+
+    def test_catalog_and_padded_pairs(self, steane7, perfect5, shor9):
+        codes = [steane7, perfect5, shor9, StabilizerCode(1, ())]
+        for a, b in itertools.permutations([steane7, perfect5, shor9], 2):
+            for m in range(3):
+                codes += rewiring.pad(a, b, m)
+        for code in codes:
+            fresh = StabilizerCode(code.n, code.gens)  # nothing cached
+            assert np.array_equal(fresh.logical_basis, old_logical_basis(fresh))
 
 
 class TestStabilizerCode:

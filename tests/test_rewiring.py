@@ -236,6 +236,130 @@ class TestBuildPath:
             dataclasses.replace(path, steps=(forged,) + path.steps[1:])
 
 
+def old_same_group(a, b):
+    return a.n == b.n and len(a.gens) == len(b.gens) and pauli.group_elements(a, b.generator_matrix) == list(b.gens)
+
+
+def old_walk_steps(start, steps, source, target):
+    """The per-step reconstruction _walk_steps replaced: one syndrome
+    product per step, and every code built by the validating constructor."""
+    if not old_same_group(start, source):
+        raise rewiring.AdjacencyViolationError("the first code does not present the source group")
+    codes = [start]
+    for step in steps:
+        code, idx = codes[-1], step.replaced_index
+        if not 0 <= idx < len(code.gens) or code.gens[idx] != step.correct:
+            raise rewiring.AdjacencyViolationError(f"step correction {step.correct} is not generator {idx} of its code")
+        syn = pauli.syndrome(code, step.measure)
+        if not syn[idx]:
+            raise rewiring.AdjacencyViolationError(f"{step.measure} commutes with the generator it replaces")
+        if syn.sum() != 1:
+            other = code.gens[next(j for j in np.nonzero(syn)[0] if j != idx)]
+            raise rewiring.AdjacencyViolationError(f"{step.measure} anticommutes with untouched generator {other}")
+        gens = list(code.gens)
+        gens[idx] = step.measure
+        codes.append(StabilizerCode(code.n, tuple(gens)))
+    if not old_same_group(codes[-1], target):
+        raise rewiring.AdjacencyViolationError("final code does not match the padded target group")
+    return tuple(codes)
+
+
+def walk_outcome(walk, *args):
+    try:
+        return walk(*args)
+    except (rewiring.AdjacencyViolationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def operator_with_syndrome(code, bits, rng, sign):
+    """A random signed operator whose commutation bits against code's
+    generators are `bits`."""
+    x0, ker = gf2.solve_affine(gf2.swap_xz(code.generator_matrix), np.asarray(bits, dtype=np.uint8))
+    return PauliOp.from_vector((x0 + rng.integers(0, 2, len(ker)) @ ker) % 2, sign)
+
+
+def representation(code, rng):
+    """The same signed group under a random invertible remix of its generators."""
+    mix = gf2.random_gl(len(code.gens), rng)[0]
+    return StabilizerCode(code.n, tuple(pauli.product((code.gens[i] for i in np.nonzero(row)[0]), n=code.n) for row in mix))
+
+
+def flipped(code, j):
+    g = code.gens[j]
+    return StabilizerCode(code.n, code.gens[:j] + (PauliOp(g.x, g.z, -g.sign),) + code.gens[j + 1 :])
+
+
+class TestWalkStepsMatchesPerStepCodes:
+    """_walk_steps derives each code by exchange from one syndrome product;
+    on random exchange sequences, valid and broken at each check, it must
+    give the old per-step walk's codes and generator matrices, or raise
+    its error with its message."""
+
+    def sequences(self, rng):
+        codes = [catalog.STEANE7, catalog.PERFECT5, catalog.SHOR9]
+        codes += [rewiring.pad(a, b, m)[i] for a, b, m in ((catalog.STEANE7, catalog.PERFECT5, 1),
+                                                            (catalog.PERFECT5, catalog.SHOR9, 2)) for i in (0, 1)]
+        while len(codes) < 160:
+            n = int(rng.integers(2, 11))
+            code = pauli.random_stabilizer_code(n, int(rng.integers(0, n)), rng)
+            codes.append(code)
+        for code in codes:
+            chain, steps = [code], []
+            for _ in range(int(rng.integers(0, 9))):
+                cur = chain[-1]
+                slot = int(rng.integers(len(cur.gens)))
+                op = operator_with_syndrome(cur, np.arange(len(cur.gens)) == slot, rng, int(rng.choice([1, -1])))
+                steps.append(rewiring.ConversionStep(op, cur.gens[slot], slot))
+                chain.append(StabilizerCode(cur.n, cur.gens[:slot] + (op,) + cur.gens[slot + 1 :]))
+            yield chain, steps
+
+    def broken(self, chain, steps, rng):
+        """(kind, start, steps, source, target) cases: the valid walk under
+        re-presented endpoints, then one case per check that can fail."""
+        start, end = chain[0], chain[-1]
+        yield "valid", start, steps, representation(start, rng), representation(end, rng)
+        j = int(rng.integers(len(start.gens)))
+        yield "source", start, steps, flipped(start, j), end
+        yield "target", start, steps, start, flipped(end, j)
+        if not steps:
+            return
+        at = int(rng.integers(len(steps)))
+        code, step, r = chain[at], steps[at], len(chain[at].gens)
+
+        def replace(**edit):
+            return steps[:at] + [dataclasses.replace(step, **edit)] + steps[at + 1 :]
+
+        yield "correction", start, replace(replaced_index=int(rng.choice([-1, r]))), start, end
+        yield "correction", start, replace(correct=PauliOp(step.correct.x, step.correct.z, -step.correct.sign)), start, end
+        yield "commutes", start, replace(measure=operator_with_syndrome(code, np.zeros(r), rng, 1)), start, end
+        if r > 1:
+            other = (step.replaced_index + int(rng.integers(1, r))) % r
+            bits = np.isin(np.arange(r), [step.replaced_index, other])
+            yield "untouched", start, replace(measure=operator_with_syndrome(code, bits, rng, 1)), start, end
+        wide = PauliOp.from_string("X" * (code.n + 1))
+        yield "length", start, replace(measure=wide), start, end
+
+    def test_random_exchange_sequences(self):
+        rng = np.random.default_rng(1709)
+        kinds = {}
+        for chain, steps in self.sequences(rng):
+            for kind, start, walk, source, target in self.broken(chain, steps, rng):
+                got = walk_outcome(rewiring._walk_steps, start, walk, source, target)
+                want = walk_outcome(old_walk_steps, start, walk, source, target)
+                if isinstance(want, tuple) and isinstance(want[0], type):
+                    assert got == want, kind
+                    kinds.setdefault(kind, set()).add(want[1].split(" ")[0] if kind == "length" else want[0])
+                    continue
+                assert kind == "valid" and got == want
+                for new, old in zip(got, want):
+                    assert np.array_equal(new.generator_matrix, old.generator_matrix)
+                    assert not new.generator_matrix.flags.writeable
+                kinds.setdefault(kind, set()).add(len(walk))
+        assert set(kinds) == {"valid", "source", "target", "correction", "commutes", "untouched", "length"}
+        assert kinds["length"] == {"operator"}
+        assert len(kinds["valid"]) == 9  # 0 to 8 steps
+
+
 class TestSymmetry:
     def test_reversed_build_walks_the_same_groups(self, table_decompositions):
         for name in ("table1", "table2", "table3"):
