@@ -377,12 +377,7 @@ def failure_bound(n: int, m: int, d: int, gc: int, count_weight_d: bool = False)
     p = num / total
     if not p < 0.75:
         raise DomainError(f"bound needs {num}/(n+m) < 3/4, got {p:.3f}")
-    log_raw = (
-        total * math.log(4.0)
-        - _kl(p, 0.75) * total
-        + math.log(gc + 1.0)
-        - gc * math.log(2.0)
-    )
+    log_raw = total * math.log(4.0) - _kl(p, 0.75) * total + math.log(gc + 1.0) - gc * math.log(2.0)
     try:
         raw = math.exp(log_raw)
     except OverflowError:  # past the float range: the bound says nothing
@@ -505,9 +500,7 @@ def commutativity_check(
     """
     from . import rewiring  # local import: rewiring depends on this module
 
-    ga, gb, gc_rows, gbp, gcp = rewiring.subspace_bases(
-        s.generator_matrix, sp.generator_matrix, normalize=False
-    )
+    ga, gb, gc_rows, gbp, gcp = rewiring.subspace_bases(s.generator_matrix, sp.generator_matrix, normalize=False)
     h = gf2.symplectic_products(gcp, gc_rows)
     gc_size = gc_rows.shape[0]
     invertible = gf2.rank(h) == gc_size

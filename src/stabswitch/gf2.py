@@ -128,9 +128,9 @@ def _eliminate(rows: list[int], width: int) -> Iterator[int]:
 
 
 def _insert(lead: dict[int, int], x: int) -> int:
-    """Reduce the packed row x by the rows of an echelon form, keyed by the
-    bit length of their leading bit, until its leading bit is new to it,
-    and add what is left (zero if x is in their span) to it."""
+    """Reduce the packed row x by an echelon form, whose rows are keyed by
+    the bit length of their leading bit, until its leading bit is new,
+    and add what is left (zero if x is in their span) to the form."""
     while x and x.bit_length() in lead:
         x ^= lead[x.bit_length()]
     if x:
@@ -139,11 +139,10 @@ def _insert(lead: dict[int, int], x: int) -> int:
 
 
 def greedy_rows(m: np.ndarray, rank: int) -> list[int]:
-    """Indices of the rows of m independent of the rows before them, given
-    m's rank: one insertion pass over the packed rows into an echelon
-    form, which stops once `rank` rows are kept."""
+    """Indices of the rows of m independent of the rows before them, by one
+    insertion pass over its packed rows that stops at m's rank."""
     lead: dict[int, int] = {}
-    kept: list[int] = []
+    kept = []
     for i, x in enumerate(_pack(np.atleast_2d(asbits(m)))[0]):
         if len(kept) == rank:
             break
@@ -244,31 +243,25 @@ def span_coefficients(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
 
     Returns (coeffs, inside) with coeffs[i] @ basis == rows[i] wherever
     inside[i]; coeffs of a row outside the span mean nothing.  The packed
-    rows of [basis | I] go into one echelon form (_insert), and a packed
-    row v is reduced by its rows from the highest leading bit down, which
-    clears v on the pivot columns P of basis: the right block then holds
-    c with c basis[:, P] = v[P], that is v[P] basis[:, P]^-1, and the
-    left block is zero iff v is a member.
+    rows of [basis | I] go into one echelon form (_insert); reducing a
+    packed row v by it, highest leading bit first, clears v on the pivot
+    columns P of basis and leaves v[P] basis[:, P]^-1 in the right block,
+    and zero in the left one iff v is a member.
     """
-    basis = np.atleast_2d(asbits(basis))
-    rows = np.atleast_2d(asbits(rows))
+    basis, rows = np.atleast_2d(asbits(basis)), np.atleast_2d(asbits(rows))
     k, cols = basis.shape
     packed, width = _pack(np.hstack([basis, identity(k)]))
     lead: dict[int, int] = {}
     if any(_insert(lead, x).bit_length() <= width - cols for x in packed):
         raise NotIndependentError("basis rows are dependent")
-    reducers = [(1 << length - 1, row) for length, row in sorted(lead.items(), reverse=True)]
     queries, qwidth = _pack(rows)
-    reduced = []
-    for v in queries:
-        v <<= width - qwidth
-        for bit, row in reducers:
-            if v & bit:
-                v ^= row
-        reduced.append(v)
-    tag, align = width - cols - k, -k % 8  # bits below the right block; shift putting its first column on a byte's top bit
-    coeffs = _unpack([(v >> tag & (1 << k) - 1) << align for v in reduced], k)
-    return coeffs, np.array([not v >> width - cols for v in reduced], dtype=bool)
+    queries = [v << width - qwidth for v in queries]
+    for length in sorted(lead, reverse=True):
+        bit, row = 1 << length - 1, lead[length]
+        queries = [v ^ row if v & bit else v for v in queries]
+    # the right block sits below bit width - cols; shift its first column onto a byte's top bit
+    coeffs = _unpack([(v >> width - cols - k & (1 << k) - 1) << -k % 8 for v in queries], k)
+    return coeffs, np.array([not v >> width - cols for v in queries], dtype=bool)
 
 
 def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:

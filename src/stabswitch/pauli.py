@@ -7,9 +7,10 @@ left to right starting at qubit 1, e.g. "-YXXYIZZ".  Multiplication
 tracks the accumulated power of i exactly and only ever exposes
 Hermitian results: multiplying anticommuting operators raises.
 
-All sign arithmetic is phase_exponent under signed_products, which sits
-under every group element and tableau product; PauliOp.__mul__ and
-product are its scalar reference.
+Signs of products of many rows (group elements, a stabilizer state's
+eigenvalues, transported logicals) are signed_products, read in closed
+form; a product of two operators (PauliOp.__mul__, a measurement's
+rowsum) is phase_exponent, a table lookup per qubit.
 
 A membership question is answered one of two ways.  Signed membership
 is span_signs, the one caller of gf2.span_coefficients: it serves
@@ -83,13 +84,10 @@ def signed_products(x, z, r, selection) -> tuple[np.ndarray, np.ndarray, np.ndar
     left to right, the rows (x[j]|z[j]) with sign (-1)^r[j] that
     selection[i] marks.  Returns each product's x and z parts and its
     power of i (mod 4): 0 or 2 when Hermitian, odd when the selected rows
-    do not commute.
-
-    The power is read in closed form: a row is i^(x.z) X^x Z^z, and
-    moving every X factor left of every Z factor of a later row costs
-    (-1)^(z_j.x_l) per pair j < l.  So the power is the selected rows' Y
-    count, plus 2 per selected pair j < l with z_j.x_l odd, plus 2 per
-    selected sign bit, less the product's own Y count."""
+    do not commute.  A row is i^(x.z) X^x Z^z, and moving every X left of
+    the Z of an earlier row j costs (-1)^(z_j.x_l): the power is the
+    selected rows' Y count, plus 2 per selected pair j < l with z_j.x_l
+    odd and per selected sign bit, less the product's Y count."""
     sel = np.asarray(selection, dtype=np.int64)
     x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
     px, pz = (sel @ x & 1).astype(np.uint8), (sel @ z & 1).astype(np.uint8)
@@ -177,19 +175,13 @@ class PauliOp:
         ph = phase_exponent(self.x, self.z, other.x, other.z)
         ph = (ph + (2 if self.sign < 0 else 0) + (2 if other.sign < 0 else 0)) % 4
         if ph % 2:
-            raise NonHermitianProductError(
-                "operands anticommute; the product is not Hermitian"
-            )
+            raise NonHermitianProductError("operands anticommute; the product is not Hermitian")
         return PauliOp(self.x ^ other.x, self.z ^ other.z, +1 if ph == 0 else -1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliOp):
             return NotImplemented
-        return (
-            self.sign == other.sign
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-        )
+        return self.sign == other.sign and np.array_equal(self.vector, other.vector)
 
     def __hash__(self):
         return hash((self.sign, self.x.tobytes(), self.z.tobytes()))
@@ -228,22 +220,16 @@ class StabilizerCode:
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) > self.n:
-            raise DependentGeneratorsError(
-                f"{len(gens)} generators on {self.n} qubits cannot be independent"
-            )
+            raise DependentGeneratorsError(f"{len(gens)} generators on {self.n} qubits cannot be independent")
         for g in gens:
             if g.n != self.n:
-                raise WrongLengthError(
-                    f"generator {g} acts on {g.n} qubits, expected {self.n}"
-                )
+                raise WrongLengthError(f"generator {g} acts on {g.n} qubits, expected {self.n}")
         if gens:
             mat = self.generator_matrix
             comm = gf2.symplectic_products(mat, mat)
             if comm.any():
                 i, j = (int(t[0]) for t in np.nonzero(comm))
-                raise AnticommutingGeneratorsError(
-                    f"generators {gens[i]} and {gens[j]} anticommute"
-                )
+                raise AnticommutingGeneratorsError(f"generators {gens[i]} and {gens[j]} anticommute")
             if gf2.rank(mat) != len(gens):
                 raise DependentGeneratorsError("generator vectors are dependent")
 
@@ -301,13 +287,11 @@ class StabilizerCode:
         return bool(inside.all() and (power == 2 * _sign_bits(other.gens)).all())
 
     def _exchanged(self, idx: int, op: PauliOp) -> "StabilizerCode":
-        """This code with generator idx replaced by op, where op anticommutes
-        with that generator and commutes with all the others; the caller
-        checks both.  Nothing is re-validated, since nothing can fail: op
-        commutes with the other generators, so the new set commutes; and
-        every element of their span commutes with the outgoing generator
-        while op anticommutes with it, so op lies outside that span and the
-        new set is independent."""
+        """This code with generator idx replaced by op, which the caller has
+        checked anticommutes with it and commutes with the others.  Nothing
+        can fail, so nothing is re-validated: op commutes with the rest, so
+        the new set commutes; every element of their span commutes with the
+        outgoing generator and op does not, so the new set is independent."""
         code = object.__new__(StabilizerCode)
         object.__setattr__(code, "n", self.n)
         object.__setattr__(code, "gens", self.gens[:idx] + (op,) + self.gens[idx + 1 :])

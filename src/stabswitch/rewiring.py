@@ -165,38 +165,24 @@ class ConversionPath:
         return self.source.n
 
     def to_json(self) -> dict:
-        """The path document; a step's correction is the generator string
-        its slot held before it, and each intermediate is written by
-        exchange (see _intermediates_json)."""
+        """The path document; a step's correction is the string its slot
+        held before the step (see _intermediates_json)."""
         inter = self._intermediates_json()
-        return {
-            "n": self.n,
-            "ancilla_qubits": list(self.ancilla_qubits),
-            "source": pauli.code_to_json(self.source),
-            "target": pauli.code_to_json(self.target),
-            "steps": [
-                {
-                    "measure": after["generators"][s.replaced_index],
-                    "correct": before["generators"][s.replaced_index],
-                    "replaced_index": s.replaced_index,
-                }
-                for s, before, after in zip(self.steps, inter, inter[1:])
-            ],
-            "intermediates": inter,
-            "seed": self.seed,
-            "m": self.m,
-        }
+        gens = [code["generators"] for code in inter]
+        steps = [{"measure": b[s.replaced_index], "correct": a[s.replaced_index], "replaced_index": s.replaced_index}
+                 for s, a, b in zip(self.steps, gens, gens[1:])]
+        source, target = pauli.code_to_json(self.source), pauli.code_to_json(self.target)
+        return {"n": self.n, "ancilla_qubits": list(self.ancilla_qubits), "source": source, "target": target,
+                "steps": steps, "intermediates": inter, "seed": self.seed, "m": self.m}
 
     def _intermediates_json(self) -> list[dict]:
         """pauli.code_to_json of each intermediate, by exchange: the start's
         generator strings, then each step's measure string in its slot, so
         r + L strings are formatted, not one per generator per code."""
-        gens = [g.to_string() for g in self.start.gens]
-        lists = [gens]
+        lists = [[g.to_string() for g in self.start.gens]]
         for step in self.steps:
-            gens = list(gens)
-            gens[step.replaced_index] = step.measure.to_string()
-            lists.append(gens)
+            lists.append(list(lists[-1]))
+            lists[-1][step.replaced_index] = step.measure.to_string()
         return [{"n": self.n, "k": self.start.k, "generators": gens} for gens in lists]
 
     @classmethod
@@ -222,39 +208,24 @@ class ConversionPath:
             raise PathIntegrityError(f"m must be an integer >= 0, got {m!r}")
         if seed is not None and not (_is_int(seed) and seed >= 0):
             raise PathIntegrityError(f"seed must be null or an integer >= 0, got {seed!r}")
-        if not (
-            isinstance(ancilla, list)
-            and all(_is_int(q) and 0 <= q < n for q in ancilla)
-            and len(set(ancilla)) == len(ancilla)
-        ):
+        qubits = isinstance(ancilla, list) and all(_is_int(q) and 0 <= q < n for q in ancilla)
+        if not (qubits and len(set(ancilla)) == len(ancilla)):
             raise PathIntegrityError(f"ancilla_qubits must be distinct integers in 0..{n - 1}, got {ancilla!r}")
         singles = gf2.zeros((2 * len(ancilla), 2 * n))  # Z, then X, on each ancilla qubit
         singles[np.arange(2 * len(ancilla)), [col for q in ancilla for col in (n + q, q)]] = 1
-        fixed = np.array([e is not None for e in pauli.group_elements(target, singles)]).reshape(-1, 2).any(axis=1)
+        inside = pauli.span_signs(target.generator_matrix, np.zeros(len(target.gens)), singles)[1]
+        fixed = inside.reshape(-1, 2).any(axis=1)
         if not fixed.all():
             q = ancilla[fixed.argmin()]
             raise PathIntegrityError(f"the target fixes no single-qubit Z or X on ancilla qubit {q}")
         for s in doc["steps"]:
             if not _is_int(s["replaced_index"]):
                 raise PathIntegrityError(f"replaced_index must be an integer, got {s['replaced_index']!r}")
-        steps = tuple(
-            ConversionStep(
-                measure=PauliOp.from_string(s["measure"]),
-                correct=PauliOp.from_string(s["correct"]),
-                replaced_index=s["replaced_index"],
-            )
-            for s in doc["steps"]
-        )
+        parse = PauliOp.from_string
+        steps = tuple(ConversionStep(parse(s["measure"]), parse(s["correct"]), s["replaced_index"])
+                      for s in doc["steps"])
         try:
-            path = cls(
-                source=source,
-                target=target,
-                start=pauli.code_from_json(doc["intermediates"][0]),
-                steps=steps,
-                ancilla_qubits=tuple(ancilla),
-                m=m,
-                seed=seed,
-            )
+            path = cls(source, target, pauli.code_from_json(doc["intermediates"][0]), steps, tuple(ancilla), m, seed)
         except AdjacencyViolationError as exc:
             raise PathIntegrityError(str(exc)) from None
         if path._intermediates_json() != doc["intermediates"]:
@@ -398,18 +369,7 @@ def decompose(
     # bridged pairs move to their bridges, the direct block swaps over, then the bridges resolve in reverse
     plan = [(a + i, i) for i in range(b)] + [(a + b + i, 2 * b + i) for i in range(c)]
     plan += [(a + i, b + i) for i in reversed(range(b))]
-    return Decomposition(
-        source=source,
-        target=target,
-        m=m,
-        ancilla_qubits=tuple(ancilla_qubits),
-        shared=ga,
-        bridged_src=gb,
-        bridged_tgt=gbp,
-        direct_src=gc,
-        direct_tgt=gcp,
-        plan=tuple(plan),
-    )
+    return Decomposition(source, target, m, tuple(ancilla_qubits), ga, gb, gbp, gc, gcp, tuple(plan))
 
 
 def randomize(dec: Decomposition, rngs: Sequence[np.random.Generator]) -> Decomposition:
@@ -441,27 +401,15 @@ def _bridge_system(dec: Decomposition, i: int, solved: np.ndarray) -> tuple[np.n
     the bridge must have with them: commute with the shared and direct
     blocks on both sides, with later bridged pairs, and with earlier
     bridges; anticommute with both ends of pair i."""
-    commute = np.vstack(
-        [
-            dec.shared,
-            dec.direct_src,
-            dec.direct_tgt,
-            dec.bridged_src[i + 1 :],
-            dec.bridged_tgt[i + 1 :],
-            solved,
-        ]
-    )
+    later = (dec.bridged_src[i + 1 :], dec.bridged_tgt[i + 1 :])
+    commute = np.vstack([dec.shared, dec.direct_src, dec.direct_tgt, *later, solved])
     mat = np.vstack([commute, dec.bridged_src[i : i + 1], dec.bridged_tgt[i : i + 1]])
     rhs = np.zeros(len(mat), dtype=np.uint8)
     rhs[len(commute) :] = 1
     return mat, rhs
 
 
-def solve_bridges(
-    dec: Decomposition,
-    rng: np.random.Generator | None = None,
-    weight_samples: int = 0,
-) -> Decomposition:
+def solve_bridges(dec: Decomposition, rng: np.random.Generator | None = None, weight_samples: int = 0) -> Decomposition:
     """Solve the bridge constraint system for every bridged pair.
 
     The canonical solution sets all free variables to zero; with
@@ -792,18 +740,7 @@ def load_fixture_decomposition(text: str) -> Decomposition:
     for j, kind in enumerate(kinds):
         i = kinds[:j].count(kind)
         plan += {"A": [], "B": [(a + i, i), (a + i, b + i)], "C": [(a + b + i, 2 * b + i)]}[kind]
-    dec = Decomposition(
-        source=source,
-        target=target,
-        m=m,
-        ancilla_qubits=_ancilla_qubits(*sizes, m),
-        shared=block("A", left),
-        bridged_src=block("B", left),
-        bridged_tgt=block("B", right),
-        direct_src=block("C", left),
-        direct_tgt=block("C", right),
-        plan=tuple(plan),
-        bridges=_rows(bridges, n),
-    )
+    blocks = (block("A", left), block("B", left), block("B", right), block("C", left), block("C", right))
+    dec = Decomposition(source, target, m, _ancilla_qubits(*sizes, m), *blocks, tuple(plan), _rows(bridges, n))
     _validate_fixture(dec)
     return dec

@@ -13,8 +13,9 @@ anticommutes with the outgoing one, which stabilizes the state, so
 every switching measurement is random and, as a group, an adjacent
 exchange of the state's own generators: the outcome-signed incoming
 operator replaces the first row it anticommutes with, and every other
-anticommuting row is multiplied by that first row, in one
-pauli.signed_products call.  Deterministic eigenvalues, behind
+anticommuting row is multiplied by that first row (the rowsum of
+Aaronson and Gottesman, its sign one pauli.phase_exponent call).
+Deterministic eigenvalues, behind
 contains, stabilizes and the end-of-path check, are read through
 pauli.span_signs, the signed membership test codes use.  run_path folds
 the channel over a ConversionPath and checks that the final state is
@@ -242,12 +243,7 @@ def encode(code: StabilizerCode, frame: LogicalFrame, state_spec) -> Tableau:
     return Tableau(code.n, g[:, : code.n].copy(), g[:, code.n :].copy(), r)
 
 
-def run_step(
-    t: Tableau,
-    step,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> int:
+def run_step(t: Tableau, step, rng: np.random.Generator | None = None, forced: int | None = None) -> int:
     """One measure-and-correct conversion step, in place.
 
     Measures the step's incoming generator; if the observed eigenvalue
@@ -284,13 +280,7 @@ def run_path(
         f = forced[i] if forced is not None else None
         outcome = run_step(t, step, rng=rng, forced=f)
         if record is not None:
-            record.append(
-                {
-                    "step": i,
-                    "outcome": outcome,
-                    "corrected": outcome != step.measure.sign,
-                }
-            )
+            record.append({"step": i, "outcome": outcome, "corrected": outcome != step.measure.sign})
     if not t.stabilizes(path.target):
         raise StabilizationFailureError("final state not stabilized by target code")
     return t
@@ -337,27 +327,24 @@ def transport_logicals(frame: LogicalFrame, path) -> LogicalFrame:
     commutation with the new code while acting identically on the
     encoded state.  Products are linear, so which steps multiply which of
     the 2k representatives follows from one product of them and of the
-    outgoing generators with [measured; outgoing] rows, and the carried
-    operators are one pauli.signed_products call.
+    corrections with [measures; corrections], and the carried operators
+    are one pauli.signed_products call.
     """
     ops, steps, n = frame.logical_x + frame.logical_z, path.steps, path.target.n
-    rows = np.array([op.vector for op in ops], dtype=np.uint8).reshape(len(ops), 2 * n)
-    outgoing = np.array([s.correct.vector for s in steps], dtype=np.uint8).reshape(len(steps), 2 * n)
-    cols = np.vstack([*(s.measure.vector for s in steps), outgoing])
-    # seen[i, j]: the product of representative i as it reaches step j with that step's measure (j < L) or correction
-    seen, moves = gf2.symplectic_products(rows, cols), gf2.symplectic_products(outgoing, cols)
-    hits = np.zeros((len(ops), len(steps)), dtype=np.uint8)
-    for j, move in enumerate(moves):
-        hits[:, j] = seen[:, j]
-        if (hits[:, j] & seen[:, len(steps) + j]).any():
+    k2 = len(ops)
+    rows = np.array([op.vector for op in ops] + [s.correct.vector for s in steps], dtype=np.uint8).reshape(-1, 2 * n)
+    # seen[i, j]: row i (a representative as carried so far, or a correction) against measure j, or correction j - L
+    seen = gf2.symplectic_products(rows, np.vstack([rows[:0], *(s.measure.vector for s in steps), rows[k2:]]))
+    select = np.eye(k2, len(rows), dtype=np.uint8)  # representative i, then the corrections it picks up
+    for j in range(len(steps)):
+        select[:, k2 + j] = seen[:k2, j]
+        if (select[:, k2 + j] & seen[:k2, len(steps) + j]).any():
             raise pauli.NonHermitianProductError("operands anticommute; the product is not Hermitian")
-        seen ^= np.outer(hits[:, j], move)
-    signs = np.array([op.sign < 0 for op in ops] + [s.correct.sign < 0 for s in steps], dtype=np.uint8)
-    factors = np.vstack([rows, outgoing])
-    x, z, power = pauli.signed_products(factors[:, :n], factors[:, n:], signs, np.hstack([np.eye(len(ops)), hits]))
+        seen[:k2] ^= np.outer(select[:, k2 + j], seen[k2 + j])
+    signs = [op.sign < 0 for op in ops] + [s.correct.sign < 0 for s in steps]
+    x, z, power = pauli.signed_products(rows[:, :n], rows[:, n:], signs, select)
     carried = [PauliOp(xi, zi, 1 - int(p)) for xi, zi, p in zip(x, z, power)]
-    k = len(frame.logical_x)
-    out = LogicalFrame(tuple(carried[:k]), tuple(carried[k:]))
+    out = LogicalFrame(tuple(carried[: len(frame.logical_x)]), tuple(carried[len(frame.logical_x) :]))
     try:
         out.validate(path.target)
     except ValueError as exc:
@@ -386,9 +373,4 @@ def inject_and_check(path, error_weight_cap: int) -> InjectionReport:
         for idx, bad in enumerate(analysis.path_walk(path, letters))
         for v in analysis._xor_rows(analysis._single_qubit_paulis(path.n), letters[bad])
     ]
-    return InjectionReport(
-        ok=not failures,
-        failures=tuple(failures),
-        errors_checked=len(letters) * len(path.intermediates),
-        syndrome_mismatches=0,
-    )
+    return InjectionReport(not failures, tuple(failures), len(letters) * len(path.intermediates), 0)
