@@ -18,6 +18,8 @@ errors (_letters, _error_letters).  Syndromes are linear, so every check
 runs one kernel: the products of the single-qubit Paulis with its rows,
 packed 64 rows to a uint64 word (_letter_words), then each error's words
 as the XOR of its letters' words (_xor_rows), as for a witness vector.
+code_distance and step_subsystem_distance read the errors _BLOCK at a
+time (_quiet_syndromes) and stop at the first block holding a witness.
 
 The failure-probability bound combines a union bound over low-weight
 errors with a Chernoff estimate of their count; see failure_bound for

@@ -84,13 +84,9 @@ def cmd_convert(args) -> int:
     if source.k == 0:
         raise UsageError("conversion needs codes with k >= 1")
     try:
-        config = rewiring.RewiringConfig(
-            m=args.ancillas,
-            seed=args.seed,
-            max_retries=args.retries,
-            min_distance=args.min_distance,
-            bridge_weight_samples=args.bridge_weight_samples,
-        )
+        config = rewiring.RewiringConfig(m=args.ancillas, seed=args.seed, max_retries=args.retries,
+                                         min_distance=args.min_distance,
+                                         bridge_weight_samples=args.bridge_weight_samples)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:

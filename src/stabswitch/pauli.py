@@ -84,10 +84,10 @@ def signed_products(x, z, r, selection) -> tuple[np.ndarray, np.ndarray, np.ndar
     left to right, the rows (x[j]|z[j]) with sign (-1)^r[j] that
     selection[i] marks.  Returns each product's x and z parts and its
     power of i (mod 4): 0 or 2 when Hermitian, odd when the selected rows
-    do not commute.  A row is i^(x.z) X^x Z^z, and moving every X left of
-    the Z of an earlier row j costs (-1)^(z_j.x_l): the power is the
-    selected rows' Y count, plus 2 per selected pair j < l with z_j.x_l
-    odd and per selected sign bit, less the product's Y count."""
+    do not commute.  A row is i^(x.z) X^x Z^z, and moving the X of row l
+    left of the Z of an earlier row j costs (-1)^(z_j.x_l): the power is
+    the selected rows' Y count, plus 2 per selected pair j < l with
+    z_j.x_l odd and per selected sign bit, less the product's Y count."""
     sel = np.asarray(selection, dtype=np.int64)
     x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
     px, pz = (sel @ x & 1).astype(np.uint8), (sel @ z & 1).astype(np.uint8)

@@ -144,9 +144,9 @@ class ConversionStep:
 @dataclass(frozen=True)
 class ConversionPath:
     """A path as its first code and steps; intermediates (start followed by
-    the code after each step) are derived on construction, which raises
-    AdjacencyViolationError unless the steps carry the source to the
-    target (see _walk_steps)."""
+    the code after each step, each one exchange from the last) are derived
+    on construction, which raises AdjacencyViolationError unless the steps
+    carry the source to the target (see _walk_steps)."""
 
     source: StabilizerCode
     target: StabilizerCode
@@ -188,7 +188,8 @@ class ConversionPath:
     @classmethod
     def from_json(cls, doc: dict) -> "ConversionPath":
         """Parse a path document, re-deriving intermediates 1..L from the
-        first stored code and the steps.
+        first stored code and the steps by exchange, and comparing the
+        stored generator strings with _intermediates_json.
 
         Raises PathIntegrityError when n is not the codes' qubit count as
         an integer, m is not an integer >= 0, the seed is neither null nor

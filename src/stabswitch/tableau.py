@@ -15,9 +15,9 @@ exchange of the state's own generators: the outcome-signed incoming
 operator replaces the first row it anticommutes with, and every other
 anticommuting row is multiplied by that first row (the rowsum of
 Aaronson and Gottesman, its sign one pauli.phase_exponent call).
-Deterministic eigenvalues, behind
-contains, stabilizes and the end-of-path check, are read through
-pauli.span_signs, the signed membership test codes use.  run_path folds
+Deterministic eigenvalues, behind contains, stabilizes and the
+end-of-path check, are read through pauli.span_signs, the signed
+membership test codes use.  run_path folds
 the channel over a ConversionPath and checks that the final state is
 stabilized by the target code with its printed signs, which
 disentangles the ancilla qubits too: each one's signed single-qubit

@@ -328,6 +328,25 @@ class TestSyndromeTestMatchesOraclesOnRandomCodes:
         assert results() == want
 
 
+def test_distance_checks_stop_at_the_first_witness_block(steane7, monkeypatch):
+    """Steane's code padded to n = 17 has its first weight-3 logical in the
+    first block of errors, so its distance check lists that block alone,
+    not the ten blocks of weight <= 3."""
+    code = rewiring.pad(steane7, steane7, 10)[0]
+    listed = []
+    real = analysis._letter_blocks
+
+    def counted(n, wmax):
+        for block in real(n, wmax):
+            listed.append(len(block))
+            yield block
+
+    monkeypatch.setattr(analysis, "_letter_blocks", counted)
+    assert analysis.code_distance(code, 3).distance == 3
+    assert listed == [analysis._BLOCK]
+    assert len(list(real(17, 3))) == 10
+
+
 class TestErrorTables:
     """The letter tables list the errors of the loop enumerator, in its order."""
 
