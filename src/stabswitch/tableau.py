@@ -167,10 +167,11 @@ class LogicalFrame:
             raise ValueError(f"frame has wrong rank for k={k}")
         ops = self.logical_x + self.logical_z
         vecs = np.array([op.vector for op in ops], dtype=np.uint8).reshape(2 * k, 2 * code.n)
-        outside = gf2.symplectic_products(code.generator_matrix, vecs).any(axis=0)
+        products = gf2.symplectic_products(np.vstack([code.generator_matrix, vecs]), vecs)
+        outside = products[: len(code.gens)].any(axis=0)
         if outside.any():
             raise ValueError(f"{ops[int(np.argmax(outside))]} is outside the code normalizer")
-        if not np.array_equal(gf2.symplectic_products(vecs, vecs), np.roll(gf2.identity(2 * k), k, axis=1)):
+        if not np.array_equal(products[len(code.gens) :], np.roll(gf2.identity(2 * k), k, axis=1)):
             raise ValueError("frame pairs are not symplectic")
 
 
