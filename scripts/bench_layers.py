@@ -21,7 +21,9 @@ script records:
   two states, inject_and_check) on one fixed seeded steane7 -> rm15
   path at m=2 (n=17), of undetectable on that
   pair's padded source code against the weight <= d-1 error list and of
-  code_distance with cap 4 on that code (its logical_basis warm), ms
+  code_distance with cap 4 on that code (its logical_basis warm), of
+  gf2.rank, gf2.rref and gf2.invert (on the pivot columns) on a seeded
+  40 x 70 matrix and on that code's 16 x 34 generator matrix, ms
   per retry of `search` on steane7 -> (34)-steane7 at m=1, which has
   no path and so spends all of its 60 retries, and ms per call of
   `DrawScreen.reject` on one 64-draw chunk of that search, in a child
@@ -93,7 +95,7 @@ def time_layers() -> dict:
     """ms per call of each layer, for the stabswitch found on sys.path."""
     import numpy as np
 
-    from stabswitch import analysis, catalog, rewiring, tableau
+    from stabswitch import analysis, catalog, gf2, rewiring, tableau
 
     src = catalog.resolve("steane7")
     tgt = catalog.resolve(str(ROOT / "bench" / "codes" / "rm15.txt"))
@@ -173,6 +175,13 @@ def time_layers() -> dict:
         "search": (exhausted_search, search_cfg.max_retries),
         "DrawScreen.reject": (lambda: screen.reject(chunk, 0), 1),
     }
+    wide = np.random.default_rng(LAYER_SEED).integers(0, 2, size=(40, 70), dtype=np.uint8)
+    for label, mat in (("40x70", wide), (f"n={path.n} generators", padded_source.generator_matrix)):
+        square = mat[:, gf2.rref(mat)[1]]  # the pivot columns of a full-rank matrix
+        assert square.shape[0] == square.shape[1], label
+        layers[f"rank {label}"] = (lambda mat=mat: gf2.rank(mat), 1)
+        layers[f"rref {label}"] = (lambda mat=mat: gf2.rref(mat), 1)
+        layers[f"invert {label}"] = (lambda square=square: gf2.invert(square), 1)
     return {
         "input": (
             f"steane7 -> rm15, m={m}, seed={LAYER_SEED}, n={path.n}, {len(steps)} steps, d={d}; "

@@ -92,8 +92,9 @@ def _padded(tables: Sequence[np.ndarray], identity: int, dtype) -> np.ndarray:
 
 
 def _error_letters(n: int, wmax: int) -> np.ndarray:
-    """The errors of weight 1..wmax, weight-ascending, as _letters padded to wmax letters by the identity 3n."""
-    return _padded([_letters(n, w) for w in range(1, wmax + 1)], 3 * n, np.min_scalar_type(3 * n))
+    """The errors of weight 1..min(wmax, n), weight-ascending, as _letters
+    padded to that many letters by the identity 3n: no error is heavier than n."""
+    return _padded([_letters(n, w) for w in range(1, min(wmax, n) + 1)], 3 * n, np.min_scalar_type(3 * n))
 
 
 def _letter_blocks(n: int, wmax: int) -> Iterator[np.ndarray]:
@@ -363,22 +364,20 @@ def _kl(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-def failure_bound(n: int, m: int, d: int, gc: int, count_weight_d: bool = False) -> BoundResult:
+def failure_bound(n: int, m: int, d: int, gc: int) -> BoundResult:
     """Upper bound on the probability that a random draw leaves some error
     of weight below d undetectable in some intermediate code.
 
     Evaluates 4^(n+m) * exp(-D(p || 3/4) * (n+m)) * (gc+1) * 2^(-gc) in
-    log space, with p = (d-1)/(n+m); `count_weight_d` switches the
-    numerator to d (including weight-d errors in the tail count).  The
-    raw value is returned untouched; `effective` clamps it into [0, 1].
+    log space, with p = (d-1)/(n+m).  The raw value is returned
+    untouched; `effective` clamps it into [0, 1].
     """
     if d < 1 or n < 1 or m < 0 or gc < 0:
         raise ValueError("need n, d >= 1 and m, gc >= 0")
-    num = d if count_weight_d else d - 1
     total = n + m
-    p = num / total
+    p = (d - 1) / total
     if not p < 0.75:
-        raise DomainError(f"bound needs {num}/(n+m) < 3/4, got {p:.3f}")
+        raise DomainError(f"bound needs {d - 1}/(n+m) < 3/4, got {p:.3f}")
     log_raw = total * math.log(4.0) - _kl(p, 0.75) * total + math.log(gc + 1.0) - gc * math.log(2.0)
     try:
         raw = math.exp(log_raw)
@@ -392,7 +391,7 @@ class MinAncillaResult(NamedTuple):
     asymptotic_reference: float
 
 
-def min_ancilla(n: int, d: int, epsilon: float, count_weight_d: bool = False) -> MinAncillaResult:
+def min_ancilla(n: int, d: int, epsilon: float) -> MinAncillaResult:
     """Smallest m >= 0 with failure_bound(n, m, d, gc=m) < epsilon.
 
     Scans m upward (the bound is eventually decreasing in m).  Also
@@ -404,7 +403,7 @@ def min_ancilla(n: int, d: int, epsilon: float, count_weight_d: bool = False) ->
         raise ValueError("epsilon must be in (0, 1]")
     reference = d * math.log(n / d) - math.log(epsilon)  # 1/epsilon overflows for a tiny epsilon
     for m in range(100_001):
-        if failure_bound(n, m, d, gc=m, count_weight_d=count_weight_d).raw < epsilon:
+        if failure_bound(n, m, d, gc=m).raw < epsilon:
             return MinAncillaResult(m, reference)
     raise RuntimeError("bound failed to drop below epsilon")  # pragma: no cover - the bound decays geometrically
 

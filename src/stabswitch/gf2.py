@@ -2,21 +2,23 @@
 
 Vectors are 1-D numpy arrays and matrices 2-D numpy arrays, both with
 dtype uint8 and entries in {0, 1}.  All functions treat inputs as
-immutable and return fresh arrays.  Gaussian elimination always picks
-the leftmost pivot column and, within a column, the lowest remaining
-row, so every basis-producing routine is deterministic.
+immutable and return fresh arrays.
 
-Elimination runs on rows packed into Python ints (column c is bit
-width-1-c, the width a whole number of bytes), so one XOR is one row
-operation; callers still pass and get uint8 arrays.
+One elimination engine runs under every routine but batch_invert: rows
+packed into Python ints (column c is bit width-1-c, the width a whole
+number of bytes) enter an echelon form one at a time (_insert), one XOR
+per row operation.  rank counts the rows that enter, greedy_rows and
+extend_basis keep them, _inverse stops at the first that does not.
+Back-substitution (_reduced) gives the unique reduced row-echelon form
+under rref, kernel, solve_affine and intersect_rowspaces, so their
+bases are deterministic.  batch_invert is the stack path: numpy
+Gauss-Jordan over a stack of square matrices at once.
 
 Length-2n vectors are read as (x | z) halves and carry the symplectic
 form <v, w> = v^T B w with B the block matrix [[0, I], [I, 0]].
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -88,7 +90,7 @@ def symplectic_products(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Matrix of pairwise symplectic products: out[..., i, j] = <rows_i, cols_j>,
     by one exact `matmul` (2n < 2^24 terms per entry); leading axes of
     stacked rows or columns broadcast."""
-    rows = np.atleast_2d(asbits(rows))
+    rows = np.atleast_2d(rows)  # swap_xz coerces it
     cols = np.atleast_2d(asbits(cols))
     if rows.shape[-1] != cols.shape[-1]:
         raise ValueError("column counts differ")
@@ -108,25 +110,6 @@ def _unpack(ints: list[int], cols: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(ints), nbytes), axis=1, count=cols)
 
 
-def _eliminate(rows: list[int], width: int) -> Iterator[int]:
-    """Gauss-Jordan elimination of packed rows in place; yields each pivot
-    column, left to right.  The pivot column is the leading bit of the
-    largest remaining row, the pivot row the lowest remaining one with it."""
-    for r in range(len(rows)):
-        top = max(rows[r:])
-        if not top:
-            return
-        bit = 1 << top.bit_length() - 1
-        p = r
-        while not rows[p] & bit:
-            p += 1
-        pivot = rows[p]
-        rows[p] = rows[r]
-        rows[:] = [x ^ pivot if x & bit else x for x in rows]
-        rows[r] = pivot
-        yield width - top.bit_length()
-
-
 def _insert(lead: dict[int, int], x: int) -> int:
     """Reduce the packed row x by an echelon form, whose rows are keyed by
     the bit length of their leading bit, until its leading bit is new,
@@ -138,9 +121,23 @@ def _insert(lead: dict[int, int], x: int) -> int:
     return x
 
 
-def greedy_rows(m: np.ndarray, rank: int) -> list[int]:
+def _reduced(lead: dict[int, int]) -> list[int]:
+    """Back-substitution: the rows of the reduced form of an echelon form,
+    leftmost pivot first.  Taken from the rightmost pivot leftwards, each
+    row clears the pivot bits of the rows already reduced."""
+    done: dict[int, int] = {}
+    for length in sorted(lead):
+        x = lead[length]
+        for bits, row in done.items():
+            if x >> bits - 1 & 1:
+                x ^= row
+        done[length] = x
+    return [done[length] for length in reversed(done)]
+
+
+def greedy_rows(m: np.ndarray, rank: int | None = None) -> list[int]:
     """Indices of the rows of m independent of the rows before them, by one
-    insertion pass over its packed rows that stops at m's rank."""
+    insertion pass over its packed rows, stopped at `rank` rows if given."""
     lead: dict[int, int] = {}
     kept = []
     for i, x in enumerate(_pack(np.atleast_2d(asbits(m)))[0]):
@@ -155,30 +152,29 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form and pivot column list."""
     m = asbits(np.atleast_2d(m))
     rows, width = _pack(m)
-    pivots = list(_eliminate(rows, width))
-    return _unpack(rows, m.shape[1]), pivots
-
-
-def _pivots(m: np.ndarray) -> list[int]:
-    """The pivot columns of rref(m), without unpacking its rows."""
-    return list(_eliminate(*_pack(asbits(np.atleast_2d(m)))))
+    lead: dict[int, int] = {}
+    for x in rows:
+        _insert(lead, x)
+    reduced = _reduced(lead)
+    pivots = [width - x.bit_length() for x in reduced]
+    return _unpack(reduced + [0] * (len(rows) - len(reduced)), m.shape[1]), pivots
 
 
 def rank(m: np.ndarray) -> int:
-    """GF(2) row rank."""
-    return len(_pivots(m))
+    """GF(2) row rank: the number of rows that enter the echelon form."""
+    return len(greedy_rows(m))
 
 
 def _inverse(m: np.ndarray) -> np.ndarray | None:
-    """Inverse of a square matrix read off the elimination of [m | I], or
-    None as soon as a column of m gets no pivot (m is then singular)."""
-    d = m.shape[0]
+    """Inverse of a square matrix, or None at the first row of m in the
+    span of the rows before it.  The rows of [m | I] enter one echelon
+    form, which back-substitution turns into [I | m^-1]."""
     ints, width = _pack(m)
-    rows = [x << width | 1 << width - 1 - i for i, x in enumerate(ints)]
-    for column, pivot in zip(range(d), _eliminate(rows, 2 * width)):
-        if pivot != column:
+    lead: dict[int, int] = {}
+    for i, x in enumerate(ints):
+        if _insert(lead, x << width | 1 << width - 1 - i).bit_length() <= width:
             return None
-    return _unpack([x & (1 << width) - 1 for x in rows], d)
+    return _unpack([x & (1 << width) - 1 for x in _reduced(lead)], m.shape[0])
 
 
 def invert(m: np.ndarray) -> np.ndarray:
@@ -268,24 +264,22 @@ def extend_basis(partial: np.ndarray, space: np.ndarray) -> np.ndarray:
     """Rows completing `partial` to a basis of the row space of `space`.
 
     Greedy over the rows of `space` in their given order, so the result
-    is deterministic.  `partial` may have zero rows.
-
-    One elimination of [partial; space]^T does the greedy pass: a column
-    of a row-echelon form gets a pivot exactly when it is independent of
-    the columns to its left, so the pivots past the partial rows are the
-    rows of `space` the greedy loop picks, in the same order.
+    is deterministic.  `partial` may have zero rows.  One insertion pass
+    over [partial; space] (greedy_rows) picks the rows; `partial` is
+    independent iff all its rows are kept, and inside the space iff the
+    kept rows number rank(space).
     """
     space = np.atleast_2d(asbits(space))
     cols = space.shape[1]
     partial = asbits(partial).reshape(-1, cols) if np.asarray(partial).size else zeros((0, cols))
     p = partial.shape[0]
     stack = np.vstack([partial, space])
-    pivots = _pivots(stack.T)
-    if pivots[:p] != list(range(p)):
+    kept = greedy_rows(stack)
+    if kept[:p] != list(range(p)):
         raise NotIndependentError("partial basis rows are dependent")
-    if len(pivots) != rank(space):
+    if len(kept) != rank(space):
         raise NotInSpaceError("partial basis row outside the target row space")
-    return stack[pivots[p:]]
+    return stack[kept[p:]]
 
 
 def intersect_rowspaces(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -260,10 +260,10 @@ class StabilizerCode:
     def logical_basis(self) -> np.ndarray:
         """Rows completing the generators to a basis of their normalizer: an
         error commuting with the generators is outside the group iff it
-        anticommutes with one of these logical operators.  The greedy pick
-        of gf2.extend_basis(g, kernel), by one insertion pass over
-        [g; kernel]: the generators are independent and lie in the kernel,
-        so that call's checks cannot fail here."""
+        anticommutes with one of these logical operators.  The kernel rows
+        gf2.extend_basis(g, kernel) picks, by its insertion pass
+        (gf2.greedy_rows) over [g; kernel] without its checks: the
+        generators are independent and lie in the kernel."""
         g = self.generator_matrix
         stack = np.vstack([g, gf2.kernel(gf2.swap_xz(g))])
         m = stack[gf2.greedy_rows(stack, self.n + self.k)[len(g) :]]

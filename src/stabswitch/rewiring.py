@@ -338,9 +338,10 @@ def subspace_bases(
     gcp = gf2.extend_basis(np.vstack([ga, gbp]), gp)
     if normalize:
         h = gf2.symplectic_products(gcp, gc)
-        if gf2.rank(h) != h.shape[0]:
-            raise AdjacencyViolationError("commutativity matrix singular")
-        gcp = (gf2.invert(h) @ gcp) % 2
+        try:
+            gcp = (gf2.invert(h) @ gcp) % 2
+        except gf2.SingularMatrixError:
+            raise AdjacencyViolationError("commutativity matrix singular") from None
         if not np.array_equal(gf2.symplectic_products(gcp, gc), gf2.identity(gc.shape[0])):
             raise AdjacencyViolationError("normalized direct blocks do not pair to the identity")
     return ga, gb, gc, gbp, gcp

@@ -136,6 +136,18 @@ class TestVerify:
         assert run("verify", str(bad), "--min-distance", "3") == cli.EXIT_DATA
         assert "malformed path file" in capsys.readouterr().err
 
+    def test_min_distance_above_n_fails_as_at_8(self, tmp_path, capsys):
+        """Errors heavier than n are not enumerated: on the 7-qubit table1
+        path, distance 40 fails at the same code with the same witness as 8."""
+        table1 = tmp_path / "table1.json"
+        path = rewiring.build_path(rewiring.load_fixture_decomposition(fixtures.TABLE1))
+        table1.write_text(json.dumps(path.to_json()))
+        failures = {}
+        for d in (8, 40):
+            assert run("verify", str(table1), "--min-distance", str(d)) == cli.EXIT_FAILED
+            failures[d] = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line or "first" in line]
+        assert len(failures[8]) == 2 and failures[40] == failures[8]
+
     def test_flipped_intermediate_sign_is_rejected(self, written_path, tmp_path):
         doc = json.loads(written_path.read_text())
         gens = doc["intermediates"][2]["generators"]

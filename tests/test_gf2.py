@@ -145,6 +145,17 @@ class TestInvert:
     def test_empty(self):
         assert gf2.invert(gf2.zeros((0, 0))).shape == (0, 0)
 
+    @pytest.mark.parametrize("dependent", [0, 2, 4])
+    def test_first_dependent_row(self, dependent):
+        """Row `dependent` (the first, a middle or the last row) is the
+        first one in the span of the rows before it; row 0 is then zero."""
+        m = gf2.random_gl(5, np.random.default_rng(11))[0]
+        m[dependent] = m[:dependent].sum(axis=0) % 2
+        assert gf2.rank(m[: dependent + 1]) == dependent and gf2.rank(m) == 4
+        assert gf2._inverse(m) is None
+        with pytest.raises(gf2.SingularMatrixError, match="rank 4 < dimension 5"):
+            gf2.invert(m)
+
 
 class TestSolveAffine:
     def test_identity_system(self):
@@ -502,20 +513,28 @@ def old_span_coefficients(basis, rows):
     return coeffs, (coeffs @ basis % 2 == rows).all(axis=1)
 
 
+def old_greedy_rows(m, rank=None):
+    """The rows the transposed elimination picks: a column of rref(m^T)
+    gets a pivot iff it is independent of the columns to its left."""
+    return old_rref(np.atleast_2d(gf2.asbits(m)).T)[1][:rank]
+
+
 @contextlib.contextmanager
 def old_kernel():
     """gf2 as it was before the packed kernel: the numpy loop under rref,
-    rank, _inverse and span_coefficients, so every routine built on them
-    (kernel, solve_affine, invert, extend_basis, intersect_rowspaces,
-    random_gl) runs the old elimination.  Reaching the packed kernel fails."""
+    rank, greedy_rows, _inverse and span_coefficients, so every routine
+    built on them (kernel, solve_affine, invert, extend_basis,
+    intersect_rowspaces, random_gl) runs the old elimination.  Reaching
+    the packed engine fails."""
 
     def unreachable(*args):
-        raise AssertionError("packed kernel reached under the old-kernel oracle")
+        raise AssertionError("packed engine reached under the old-kernel oracle")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf2, "_eliminate", unreachable)
+        mp.setattr(gf2, "_insert", unreachable)
         mp.setattr(gf2, "rref", old_rref)
-        mp.setattr(gf2, "_pivots", lambda m: old_rref(m)[1])
+        mp.setattr(gf2, "rank", lambda m: len(old_rref(m)[1]))
+        mp.setattr(gf2, "greedy_rows", old_greedy_rows)
         mp.setattr(gf2, "_inverse", old_inverse)
         mp.setattr(gf2, "span_coefficients", old_span_coefficients)
         yield

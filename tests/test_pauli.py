@@ -194,9 +194,14 @@ class TestPhaseTable:
 
 
 def old_logical_basis(code):
-    """The two eliminations logical_basis ran before its insertion pass."""
+    """The greedy loop logical_basis replaced: each kernel row is kept iff
+    it raises the rank of the generators and the rows kept so far."""
     g = code.generator_matrix
-    return gf2.extend_basis(g, gf2.kernel(gf2.swap_xz(g)))
+    kept = g
+    for row in gf2.kernel(gf2.swap_xz(g)):
+        if gf2.rank(np.vstack([kept, row])) > len(kept):
+            kept = np.vstack([kept, row])
+    return kept[len(g) :]
 
 
 class TestLogicalBasisMatchesExtendBasis:

@@ -726,6 +726,13 @@ class TestInjectAndCheck:
         assert report.syndrome_mismatches == 0
         assert report.errors_checked == len(table_paths["table1"].intermediates) * (21 + 189)
 
+    def test_cap_above_n_equals_cap_n(self, table_paths):
+        """No error is heavier than n: a cap past it lists the same errors."""
+        path = table_paths["table1"]
+        report = tableau.inject_and_check(path, path.n)
+        assert not report.ok and report.errors_checked == len(path.intermediates) * (4**path.n - 1)
+        assert tableau.inject_and_check(path, path.n + 5) == report
+
     def test_corrupted_path_fails_with_witness(self, losing_path):
         report = tableau.inject_and_check(losing_path, 2)
         assert not report.ok
